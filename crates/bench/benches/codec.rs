@@ -4,42 +4,10 @@
 //! v1-vs-v2 wire-format comparison that motivated PR 2's zero-copy path.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use serde::de::Visitor;
-use serde::{Deserialize, Serialize};
-
-/// Marshalled arguments as a raw length-prefixed byte run (how the wire
-/// format frames payloads), owned on decode.
-#[derive(Clone, PartialEq, Debug)]
-struct OwnedBytes(Vec<u8>);
-
-impl Serialize for OwnedBytes {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_bytes(&self.0)
-    }
-}
-
-impl<'de> Deserialize<'de> for OwnedBytes {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct V;
-        impl<'de> Visitor<'de> for V {
-            type Value = OwnedBytes;
-            fn expecting(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.write_str("a byte run")
-            }
-            fn visit_borrowed_bytes<E: serde::de::Error>(
-                self,
-                v: &'de [u8],
-            ) -> Result<OwnedBytes, E> {
-                Ok(OwnedBytes(v.to_vec()))
-            }
-        }
-        deserializer.deserialize_byte_buf(V)
-    }
-}
 
 /// The CallReq shape with every field owned: decoding allocates the two
 /// name strings and copies the argument payload.
-type CallFrameOwned = (u64, String, String, OwnedBytes);
+type CallFrameOwned = (u64, String, String, Vec<u8>);
 
 /// The same bytes decoded zero-copy: names and args borrow the input.
 type CallFrameBorrowed<'a> = (u64, &'a str, &'a str, &'a [u8]);
@@ -49,7 +17,7 @@ fn encoded_frame(args_len: usize) -> Vec<u8> {
         42u64,
         "geoData".to_owned(),
         "filterData".to_owned(),
-        OwnedBytes(vec![7u8; args_len]),
+        vec![7u8; args_len],
     );
     mage_codec::to_bytes(&value).unwrap()
 }

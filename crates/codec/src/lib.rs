@@ -12,7 +12,10 @@
 //! * `f32`/`f64`: little-endian IEEE-754 bytes
 //! * `bool` and `Option` tags: one byte (`0`/`1`)
 //! * strings, byte strings, sequences, maps: varint length prefix
-//! * structs and tuples: fields back-to-back, no framing
+//! * `Vec<u8>`, `[u8]` and `&[u8]`: byte strings (length, then the raw
+//!   bytes), never a sequence of per-byte varints
+//! * structs and tuples: fields back-to-back, no framing; a fixed-size
+//!   `[u8; N]` is a tuple of `N` varints
 //! * enums: varint variant index followed by the payload
 //!
 //! The format is *not* self-describing: decoding drives from the target type,

@@ -1,7 +1,7 @@
 //! Roundtrip tests for the MAGE wire format, including property-based
 //! coverage of the core serde data model.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -84,6 +84,22 @@ fn large_byte_payload_roundtrips() {
 }
 
 #[test]
+fn borrowed_byte_slice_roundtrips_bytes_above_0x7f() {
+    // A byte >= 0x80 is a two-byte varint, so encoding the slice element
+    // by element while decoding it as a byte string leaves trailing bytes.
+    let bytes: &[u8] = &[1, 0x80, 0xff];
+    let wire = mage_codec::to_bytes(&bytes).unwrap();
+    assert_eq!(mage_codec::from_bytes::<&[u8]>(&wire), Ok(bytes));
+}
+
+#[derive(Serialize, Deserialize, Debug, Clone, PartialEq)]
+struct Blob {
+    id: u32,
+    data: Vec<u8>,
+    tail: u16,
+}
+
+#[test]
 fn deeply_nested_structures_roundtrip() {
     let v: Vec<Vec<Vec<u16>>> = vec![vec![vec![1, 2], vec![]], vec![vec![3]]];
     assert_eq!(roundtrip(&v), v);
@@ -138,8 +154,34 @@ proptest! {
     }
 
     #[test]
-    fn prop_byte_vectors_roundtrip(v in proptest::collection::vec(any::<u8>(), 0..512)) {
-        prop_assert_eq!(roundtrip(&v), v);
+    fn prop_byte_vectors_roundtrip(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+        quad in (0u8..=255, 0u8..=255, 0u8..=255, 0u8..=255),
+        present in any::<bool>(),
+        nested in proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..40), 0..8),
+    ) {
+        prop_assert_eq!(roundtrip(&bytes), bytes.clone());
+
+        let slice: &[u8] = &bytes;
+        let wire = mage_codec::to_bytes(&slice).unwrap();
+        prop_assert_eq!(mage_codec::from_bytes::<&[u8]>(&wire).unwrap(), slice);
+
+        let deque: VecDeque<u8> = bytes.iter().copied().collect();
+        prop_assert_eq!(roundtrip(&deque), deque);
+
+        let set: BTreeSet<u8> = bytes.iter().copied().collect();
+        prop_assert_eq!(roundtrip(&set), set);
+
+        let array = [quad.0, quad.1, quad.2, quad.3];
+        prop_assert_eq!(roundtrip(&array), array);
+
+        let option = present.then(|| bytes.clone());
+        prop_assert_eq!(roundtrip(&option), option);
+
+        prop_assert_eq!(roundtrip(&nested), nested.clone());
+
+        let blob = Blob { id: quad.0.into(), data: bytes.clone(), tail: u16::MAX };
+        prop_assert_eq!(roundtrip(&blob), blob);
     }
 
     #[test]
