@@ -10,14 +10,13 @@
 use std::fmt;
 
 use mage_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::component::ModelKind;
 use crate::error::MageError;
 
 /// Where the component actually is, relative to the invoking namespace and
 /// the attribute's computation target (the columns of Table 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Situation {
     /// In the invoking namespace.
     Local,

@@ -163,10 +163,6 @@ pub(crate) enum ExecPhase {
 pub(crate) struct ExecTask {
     pub op: OpId,
     pub spec: proto::ExecSpec,
-    /// Interned id of `spec.object`, computed once at start.
-    pub object_id: Option<NameId>,
-    /// Interned id of `spec.class`, computed once at start.
-    pub class_id: NameId,
     pub phase: ExecPhase,
     pub cloc: Option<NodeId>,
     /// Incarnation believed to live at `cloc` (updated by every find,

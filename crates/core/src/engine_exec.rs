@@ -65,15 +65,10 @@ impl MageNode {
     pub(crate) fn exec_start(&mut self, env: &mut Env<'_, '_>, op: OpId, spec: proto::ExecSpec) {
         let id = self.next_task;
         self.next_task += 1;
-        // Intern the plan's names once; every later step moves 4-byte ids.
-        let object_id = spec.object.as_deref().map(|n| self.syms.intern(n));
-        let class_id = self.syms.intern(&spec.class);
         let cinc = spec.expected_incarnation;
         let task = ExecTask {
             op,
             spec,
-            object_id,
-            class_id,
             phase: ExecPhase::AwaitFind {
                 resume: Resume::Guard,
             },
@@ -94,7 +89,7 @@ impl MageNode {
 
     fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let needs_guard = task.spec.guard
-            && task.object_id.is_some()
+            && task.spec.object.is_some()
             && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
         if !needs_guard {
             self.exec_begin_action(env, id, task);
@@ -118,7 +113,7 @@ impl MageNode {
     fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
         let me = env.node();
         let target = task.lock_target(me);
-        let name = task.object_id.expect("guard requires an object");
+        let name = task.spec.object.expect("guard requires an object");
         let args = proto::LockArgs {
             name,
             client: me.as_raw(),
@@ -143,7 +138,7 @@ impl MageNode {
         let me = env.node();
         match task.spec.action.clone() {
             ActionSpec::Local => {
-                let Some(name) = task.object_id else {
+                let Some(name) = task.spec.object else {
                     self.exec_fail(
                         env,
                         id,
@@ -153,7 +148,7 @@ impl MageNode {
                     return;
                 };
                 task.invoke_at = Some(me);
-                if let Some(invoke) = task.spec.invoke.clone() {
+                if let Some(invoke) = task.spec.invoke.as_ref() {
                     // A bind (advisory identity) re-resolves against the
                     // object actually hosted here; only pinned stubs keep
                     // their expectation.
@@ -169,7 +164,8 @@ impl MageNode {
                         self.exec_fail(env, id, task, err);
                         return;
                     }
-                    match self.invoke_local(env, name, &invoke.method, &invoke.args) {
+                    let method = self.syms.resolve_lossy(invoke.method);
+                    match self.invoke_local(env, name, &method, &invoke.args) {
                         Ok(bytes) => {
                             task.result = Some(bytes);
                             self.exec_begin_unlock(env, id, task);
@@ -239,14 +235,14 @@ impl MageNode {
                 } else if cloc == me {
                     // We host the object: run the transfer ourselves
                     // (Figure 7 without the moveTo hop).
-                    let name = task.object_id.expect("move requires an object");
+                    let name = task.spec.object.expect("move requires an object");
                     task.phase = ExecPhase::AwaitMove;
                     self.tasks.insert(id, Task::Exec(Box::new(task)));
                     self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
                 } else {
                     // Ask the hosting namespace to transfer the object
                     // (Figure 7, message 3).
-                    let name = task.object_id.expect("move requires an object");
+                    let name = task.spec.object.expect("move requires an object");
                     let args = proto::MoveToArgs {
                         name,
                         dest: dest.as_raw(),
@@ -271,7 +267,7 @@ impl MageNode {
                 replace,
             } => {
                 let dest = NodeId::from_raw(node);
-                let Some(object_id) = task.object_id else {
+                let Some(object_id) = task.spec.object else {
                     self.exec_fail(
                         env,
                         id,
@@ -281,9 +277,9 @@ impl MageNode {
                     return;
                 };
                 if dest == me {
-                    if self.classes.contains(&task.class_id) {
+                    if self.classes.contains(&task.spec.class) {
                         let (class_name, object_name) =
-                            (task.spec.class.clone(), self.name_str(object_id));
+                            (self.name_str(task.spec.class), self.name_str(object_id));
                         let policy = crate::node::HostPolicy {
                             visibility,
                             durability,
@@ -311,7 +307,7 @@ impl MageNode {
                     }
                 } else {
                     let args = proto::InstantiateArgs {
-                        class: task.class_id,
+                        class: task.spec.class,
                         name: object_id,
                         state,
                         visibility,
@@ -346,7 +342,7 @@ impl MageNode {
         dest: NodeId,
     ) {
         let me = env.node();
-        let key = CompKey::class(task.class_id);
+        let key = CompKey::class(task.spec.class);
         let source = self
             .registry
             .lookup(key)
@@ -361,7 +357,7 @@ impl MageNode {
         match source {
             Some(src) => {
                 let args = proto::FetchClassArgs {
-                    class: task.class_id,
+                    class: task.spec.class,
                 };
                 env.call(
                     src,
@@ -374,19 +370,19 @@ impl MageNode {
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
             None => {
-                let class = task.spec.class.clone();
+                let class = self.name_str(task.spec.class);
                 self.exec_fail(env, id, task, MageError::ClassUnavailable(class));
             }
         }
     }
 
     fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
-        let Some(invoke) = task.spec.invoke.clone() else {
+        let Some(invoke) = task.spec.invoke.as_ref() else {
             self.exec_begin_unlock(env, id, task);
             return;
         };
         let at = task.invoke_at.expect("invoke target resolved");
-        let Some(name) = task.object_id else {
+        let Some(name) = task.spec.object else {
             self.exec_fail(
                 env,
                 id,
@@ -395,10 +391,10 @@ impl MageNode {
             );
             return;
         };
-        let args = proto::InvokeArgs {
+        let args = proto::InvokeArgsRef {
             name,
-            method: self.syms.intern(&invoke.method),
-            args: invoke.args.clone(),
+            method: invoke.method,
+            args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
         let payload = mage_codec::to_bytes(&args).expect("invoke args encode");
@@ -428,7 +424,7 @@ impl MageNode {
             .or(task.cloc)
             .or(task.locked_at)
             .expect("somewhere");
-        let name = task.object_id.expect("guarded ops have objects");
+        let name = task.spec.object.expect("guarded ops have objects");
         let args = proto::UnlockArgs {
             name,
             client: env.node().as_raw(),
@@ -499,7 +495,7 @@ impl MageNode {
         {
             return Some(task);
         }
-        let (Some(name), Some(backup)) = (task.object_id, task.spec.backup_hint) else {
+        let (Some(name), Some(backup)) = (task.spec.object, task.spec.backup_hint) else {
             return Some(task);
         };
         task.restore_tried = true;
@@ -542,7 +538,7 @@ impl MageNode {
         found: FindReply,
     ) {
         let loc = NodeId::from_raw(found.location);
-        if let Some(name) = task.object_id {
+        if let Some(name) = task.spec.object {
             self.registry
                 .update(CompKey::object(name), Located::new(loc, found.incarnation));
         }
@@ -575,7 +571,7 @@ impl MageNode {
         task: &mut ExecTask,
     ) -> Result<Option<NodeId>, MageError> {
         let me = env.node();
-        let Some(name) = task.object_id else {
+        let Some(name) = task.spec.object else {
             return Err(MageError::BadPlan("action requires an object".into()));
         };
         let key = CompKey::object(name);
@@ -641,7 +637,7 @@ impl MageNode {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
                         let loc = NodeId::from_raw(found.location);
-                        if let Some(name) = task.object_id {
+                        if let Some(name) = task.spec.object {
                             self.registry.update(
                                 CompKey::object(name),
                                 Located::new(loc, found.incarnation),
@@ -673,7 +669,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     match resume {
@@ -725,7 +721,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     self.exec_begin_guard(env, id, task);
@@ -739,7 +735,7 @@ impl MageNode {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
                         let dest = NodeId::from_raw(found.location);
-                        if let Some(name) = task.object_id {
+                        if let Some(name) = task.spec.object {
                             self.registry.update(
                                 CompKey::object(name),
                                 Located::new(dest, found.incarnation),
@@ -762,7 +758,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     self.exec_begin_action(env, id, task);
@@ -824,8 +820,8 @@ impl MageNode {
                         ),
                     };
                     let args = proto::InstantiateArgs {
-                        class: task.class_id,
-                        name: task.object_id.expect("instantiate has an object name"),
+                        class: task.spec.class,
+                        name: task.spec.object.expect("instantiate has an object name"),
                         state,
                         visibility,
                         durability,
@@ -865,7 +861,7 @@ impl MageNode {
                             return;
                         }
                     };
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry
                             .update(CompKey::object(name), Located::new(dest, incarnation));
                     }
@@ -875,15 +871,15 @@ impl MageNode {
                     self.exec_begin_invoke(env, id, task);
                 }
                 Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if self.classes.contains(&task.class_id) {
+                    if self.classes.contains(&task.spec.class) {
                         // We have the class: push it to the target
                         // (traditional REV ships local code to the server).
                         let def = self
                             .lib
-                            .get(&task.spec.class)
+                            .get(&self.syms.resolve_lossy(task.spec.class))
                             .expect("cached class defined");
                         let class_args = proto::ReceiveClassArgs {
-                            class: task.class_id,
+                            class: task.spec.class,
                             code: vec![0u8; def.code_size() as usize],
                             has_static_fields: def.has_static_fields(),
                         };
@@ -930,7 +926,7 @@ impl MageNode {
                         task.cinc = None;
                         task.spec.expected_incarnation = None;
                     }
-                    if let Some(name) = task.object_id {
+                    if let Some(name) = task.spec.object {
                         self.registry.remove(CompKey::object(name));
                     }
                     match self.exec_resolve_location(env, id, &mut task) {

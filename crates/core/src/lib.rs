@@ -63,6 +63,7 @@ pub mod attribute;
 pub mod class;
 pub mod coercion;
 pub mod component;
+mod desk;
 mod engine;
 mod engine_exec;
 pub mod error;

@@ -13,16 +13,17 @@
 //! every internal table (hosted objects, registry, locks, parked finds) is
 //! keyed by ids rather than strings.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use mage_rmi::{App, CallOutcome, Env, Fault, InboundCall, NameId, ReplyHandle, SymbolTable};
-use mage_sim::{NodeId, OpId, SimDuration};
+use mage_sim::{IdMap, NodeId, OpId, SimDuration};
 
 use crate::admission::Quotas;
 use crate::class::ClassLibrary;
 use crate::component::{Durability, Visibility};
+use crate::desk::{OpResult, SharedDesk};
 use crate::engine::{MoveOrigin, Task};
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
@@ -161,7 +162,7 @@ pub struct MageNode {
     pub(crate) objects: BTreeMap<NameId, Hosted>,
     pub(crate) registry: Registry,
     pub(crate) locks: LockTable<ReplyHandle>,
-    pub(crate) tasks: HashMap<u64, Task>,
+    pub(crate) tasks: IdMap<u64, Task>,
     pub(crate) next_task: u64,
     pub(crate) trust: TrustPolicy,
     pub(crate) quotas: Quotas,
@@ -174,6 +175,9 @@ pub struct MageNode {
     /// replicated objects hosted elsewhere (crash-stop: these die with
     /// this node too — replication is one backup, not consensus).
     pub(crate) backups: BTreeMap<NameId, BackupSnapshot>,
+    /// The runtime's op desk: driver commands arrive here, outcomes
+    /// leave here.
+    desk: SharedDesk,
 }
 
 /// A find parked while its object is in transit: either a remote call to
@@ -186,18 +190,19 @@ pub(crate) enum TransitFindWaiter {
 }
 
 impl MageNode {
-    /// Creates a node named `name` over the world-wide class library and
-    /// symbol table.
+    /// Creates a node named `name` over the world-wide class library,
+    /// symbol table and op desk.
     ///
     /// `peers` maps namespace display names to node ids (used to resolve
     /// mobile-agent itinerary hops).
-    pub fn new(
+    pub(crate) fn new(
         name: impl Into<String>,
         lib: Arc<ClassLibrary>,
         peers: BTreeMap<String, NodeId>,
         config: NodeConfig,
         syms: Arc<SymbolTable>,
         minter: Arc<IncarnationMinter>,
+        desk: SharedDesk,
     ) -> Self {
         let config_locks = if config.fair_locks {
             LockTable::fair()
@@ -217,12 +222,13 @@ impl MageNode {
             objects: BTreeMap::new(),
             registry: Registry::new(),
             locks: config_locks,
-            tasks: HashMap::new(),
+            tasks: IdMap::default(),
             next_task: 0,
             trust: TrustPolicy::default(),
             quotas: Quotas::unlimited(),
             transit_finds: BTreeMap::new(),
             backups: BTreeMap::new(),
+            desk,
         }
     }
 
@@ -272,13 +278,11 @@ impl MageNode {
         id
     }
 
-    pub(crate) fn complete(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        result: Result<Outcome, crate::error::MageError>,
-    ) {
-        env.complete_op(op, Bytes::from(proto::encode_completion(&result)));
+    /// Completes a driver operation: the typed result goes on the desk,
+    /// and the world's op completes with an empty payload.
+    pub(crate) fn complete(&mut self, env: &mut Env<'_, '_>, op: OpId, result: OpResult) {
+        self.desk.borrow_mut().finish(op, result);
+        env.complete_op(op, Bytes::new());
     }
 
     // ---- server-side handlers (MageServer / MageExternalServer) ----
@@ -754,10 +758,9 @@ impl MageNode {
 
     // ---- driver commands ----
 
-    fn handle_command(&mut self, env: &mut Env<'_, '_>, cmd: proto::Command) {
+    fn handle_command(&mut self, env: &mut Env<'_, '_>, op: OpId, cmd: proto::Command) {
         match cmd {
-            proto::Command::DeployClass { op, class } => {
-                let op = OpId::from_raw(op);
+            proto::Command::DeployClass { class } => {
                 if !self.lib.contains(&class) {
                     let err = crate::error::MageError::ClassUnavailable(class);
                     self.complete(env, op, Err(err));
@@ -778,7 +781,6 @@ impl MageNode {
                 );
             }
             proto::Command::CreateObject {
-                op,
                 class,
                 name,
                 state,
@@ -786,7 +788,6 @@ impl MageNode {
                 durability,
                 backup,
             } => {
-                let op = OpId::from_raw(op);
                 let policy = HostPolicy {
                     visibility,
                     durability,
@@ -795,36 +796,24 @@ impl MageNode {
                 let result = self.create_local_object(env, &class, &name, &state, policy, false);
                 self.complete(env, op, result);
             }
-            proto::Command::Find {
-                op,
-                name,
-                home_hint,
-            } => {
-                let key = CompKey::parse(&self.syms, &name);
-                self.start_client_find(env, OpId::from_raw(op), key, home_hint);
+            proto::Command::Find { key, home_hint } => {
+                self.start_client_find(env, op, key, home_hint);
             }
             proto::Command::Lock {
-                op,
                 name,
                 target,
                 home_hint,
             } => {
-                let name = self.syms.intern(&name);
-                self.start_client_lock(env, OpId::from_raw(op), name, target, home_hint);
+                self.start_client_lock(env, op, name, target, home_hint);
             }
-            proto::Command::Unlock {
-                op,
-                name,
-                home_hint,
-            } => {
-                let name = self.syms.intern(&name);
-                self.start_client_unlock(env, OpId::from_raw(op), name, home_hint);
+            proto::Command::Unlock { name, home_hint } => {
+                self.start_client_unlock(env, op, name, home_hint);
             }
-            proto::Command::Execute { op, spec } => {
+            proto::Command::Execute(spec) => {
                 env.charge(self.config.bind_overhead);
-                self.start_exec(env, OpId::from_raw(op), spec);
+                self.exec_start(env, op, spec);
             }
-            proto::Command::SetTrust { op, allow } => {
+            proto::Command::SetTrust { allow } => {
                 self.trust = match allow {
                     None => TrustPolicy::TrustAll,
                     Some(ids) => TrustPolicy::allow_raw(ids),
@@ -832,7 +821,7 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
@@ -840,7 +829,6 @@ impl MageNode {
                 );
             }
             proto::Command::SetQuota {
-                op,
                 max_objects,
                 max_classes,
             } => {
@@ -851,26 +839,26 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
                     }),
                 );
             }
-            proto::Command::AllowStaticClasses { op, allow } => {
+            proto::Command::AllowStaticClasses { allow } => {
                 self.config.allow_static_classes = allow;
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
                     }),
                 );
             }
-            proto::Command::SeedRegistry { op, name, loc } => {
+            proto::Command::SeedRegistry { name, loc } => {
                 let key = CompKey::parse(&self.syms, &name);
                 // Admin seeds construct pathological chains on purpose;
                 // they carry no identity knowledge.
@@ -879,7 +867,7 @@ impl MageNode {
                 let me = env.node().as_raw();
                 self.complete(
                     env,
-                    OpId::from_raw(op),
+                    op,
                     Ok(Outcome {
                         location: me,
                         ..Outcome::default()
@@ -1184,9 +1172,11 @@ pub(crate) fn reply_ok<T: serde::Serialize>(value: &T) -> CallOutcome {
 
 impl App for MageNode {
     fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Bytes) {
-        match mage_codec::from_bytes::<proto::Command>(&payload) {
-            Ok(cmd) => self.handle_command(env, cmd),
-            Err(e) => env.note(format!("bad driver command: {e}")),
+        // The driver event carries only the op id; its typed command
+        // waits on the desk.
+        let taken = self.desk.borrow_mut().take_command(&payload);
+        if let Some((op, cmd)) = taken {
+            self.handle_command(env, op, cmd);
         }
     }
 
@@ -1292,9 +1282,5 @@ impl MageNode {
         origin: MoveOrigin,
     ) {
         self.begin_move_out(env, name, dest, origin);
-    }
-
-    fn start_exec(&mut self, env: &mut Env<'_, '_>, op: OpId, spec: proto::ExecSpec) {
-        self.exec_start(env, op, spec);
     }
 }

@@ -1,15 +1,18 @@
 //! Typed in-flight operations.
 //!
 //! Every [`Session`](crate::Session) operation has an `_async` form that
-//! injects its command into the simulated world and immediately returns a
-//! [`Pending<T>`] — a typed handle to the eventual result. Decoding is
-//! deferred to [`Pending::wait`], so a driver can issue a whole batch of
-//! operations (across several sessions), pump the world with
-//! [`Runtime::step`](crate::Runtime::step) or
-//! [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and only
-//! then collect results. This is what makes the paper's §4.4 concurrent
-//! locking and Figure 8 contention scenarios first-class instead of
-//! bolted on.
+//! issues its command into the simulated world and immediately returns a
+//! [`Pending<T>`] — a typed handle to the eventual result. The command
+//! waits on the runtime's op desk until the world delivers its driver
+//! event to the node, and the node leaves the typed outcome on the same
+//! desk; nothing crosses that hop encoded. Turning the outcome into `T`
+//! (and updating the session's caches) is deferred to [`Pending::wait`],
+//! so a driver can issue a whole batch of operations (across several
+//! sessions), pump the world with [`Runtime::step`](crate::Runtime::step)
+//! or [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and
+//! only then collect results. This is what makes the paper's §4.4
+//! concurrent locking and Figure 8 contention scenarios first-class
+//! instead of bolted on.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -17,11 +20,11 @@ use std::rc::Rc;
 use mage_sim::OpId;
 
 use crate::error::MageError;
-use crate::proto::{self, Outcome};
+use crate::proto::Outcome;
 use crate::runtime::{Directory, Inner};
 use crate::session::SessionState;
 
-/// Decodes a completed [`Outcome`] into the operation's typed result,
+/// Turns a completed [`Outcome`] into the operation's typed result,
 /// applying any cache updates (object locations, factory homes) as a side
 /// effect.
 pub(crate) type DecodeFn<T> =
@@ -30,8 +33,9 @@ pub(crate) type DecodeFn<T> =
 /// A typed, in-flight driver operation.
 ///
 /// Obtained from the `_async` methods on [`Session`](crate::Session).
-/// Dropping a `Pending` abandons the result (the operation itself still
-/// runs to completion inside the world).
+/// Dropping a `Pending` abandons the result: the operation itself still
+/// runs to completion inside the world, and its outcome is discarded
+/// when it arrives.
 #[must_use = "a Pending does nothing until waited on"]
 pub struct Pending<T> {
     op: OpId,
@@ -71,17 +75,16 @@ impl<T> Pending<T> {
         self.inner.borrow().world.op_result(self.op).is_some()
     }
 
-    /// Runs the world until the operation completes, then decodes its
+    /// Runs the world until the operation completes, then collects its
     /// typed result.
     ///
     /// # Errors
     ///
-    /// Propagates the operation's failure, a simulation stall, or a decode
-    /// failure.
+    /// Propagates the operation's failure, a simulation stall, or a
+    /// failure to unmarshal an invocation result.
     pub fn wait(mut self) -> Result<T, MageError> {
         let decode = self.decode.take().expect("wait consumes the handle once");
-        let bytes = self.inner.borrow_mut().world.block_on(self.op)?;
-        let outcome = proto::decode_completion(&bytes)??;
+        let outcome = self.inner.borrow_mut().wait(self.op)?;
         let mut inner = self.inner.borrow_mut();
         let mut state = self.state.borrow_mut();
         decode(outcome, &mut inner.dir, &mut state)
@@ -90,10 +93,13 @@ impl<T> Pending<T> {
 
 impl<T> Drop for Pending<T> {
     fn drop(&mut self) {
-        // An un-waited handle abandons its result: tell the world not to
-        // retain the completion payload (the operation itself still runs).
+        // An un-waited handle abandons its result: neither the world nor
+        // the desk retains the completion (the operation itself still
+        // runs).
         if self.decode.is_some() {
-            self.inner.borrow_mut().world.forget_op(self.op);
+            let inner = &mut *self.inner.borrow_mut();
+            inner.world.forget_op(self.op);
+            inner.desk.borrow_mut().abandon(self.op, &inner.world);
         }
     }
 }

@@ -1,9 +1,15 @@
-//! MAGE system-service wire protocol.
+//! MAGE system-service wire protocol, and the typed driver commands.
 //!
 //! The paper's `MageServer`, `MageExternalServer` and registry interfaces
 //! are RMI remote objects; here they are methods of one well-known service
 //! object, [`SERVICE`], reachable on every node. Mobility attributes
-//! "boil down to RMI calls" (§4.2) against these methods.
+//! "boil down to RMI calls" (§4.2) against these methods, and their
+//! argument structs are what travels, encoded, between nodes.
+//!
+//! [`Command`]s and their [`Outcome`]s never touch the wire: the driver
+//! and the nodes share one process, so a session hands a node its typed
+//! command, and the node hands back a typed outcome, through the
+//! runtime's op desk. Only the op id rides the world's driver event.
 
 use mage_rmi::NameId;
 use serde::{Deserialize, Serialize};
@@ -110,6 +116,35 @@ pub struct InvokeArgs {
     /// typed `StaleIdentity` fault carrying the fresh incarnation instead
     /// of silently executing against the impostor.
     pub expected: Option<Incarnation>,
+}
+
+/// Borrowed form of [`InvokeArgs`] for the sender: the same fields in
+/// the same order, so it encodes to the same bytes without copying the
+/// marshalled arguments out of the plan that owns them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct InvokeArgsRef<'a> {
+    /// Interned name of the target object.
+    pub name: NameId,
+    /// Interned method name.
+    pub method: NameId,
+    /// Marshalled arguments.
+    pub args: &'a [u8],
+    /// Incarnation the caller believes it is invoking.
+    pub expected: Option<Incarnation>,
+}
+
+// Written out because the vendored derive takes no lifetimes; it is
+// what `#[derive(Serialize)]` on `InvokeArgs` expands to.
+impl Serialize for InvokeArgsRef<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct as _;
+        let mut state = serializer.serialize_struct("InvokeArgs", 4)?;
+        state.serialize_field("name", &self.name)?;
+        state.serialize_field("method", &self.method)?;
+        state.serialize_field("args", self.args)?;
+        state.serialize_field("expected", &self.expected)?;
+        state.end()
+    }
 }
 
 /// Arguments of [`methods::MOVE_TO`]. Reply: [`FindReply`] (destination
@@ -230,7 +265,7 @@ pub struct RestoreArgs {
 }
 
 /// How an `Execute` command acts on the component before any invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ActionSpec {
     /// Invoke at a known namespace without moving anything (RPC; also the
     /// coerced forms of REV/MA when the object is already at the target).
@@ -268,10 +303,10 @@ pub enum ActionSpec {
 }
 
 /// What to invoke once the action has placed the component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvokeSpec {
-    /// Method name.
-    pub method: String,
+    /// Interned method name.
+    pub method: NameId,
     /// Marshalled arguments.
     pub args: Vec<u8>,
     /// Fire-and-forget (mobile agents: "the result stays at the remote
@@ -280,12 +315,12 @@ pub struct InvokeSpec {
 }
 
 /// A fully resolved bind/invoke plan executed by the client node's engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecSpec {
-    /// Component class name.
-    pub class: String,
-    /// Object name (`None` only for pure factory instantiation).
-    pub object: Option<String>,
+    /// Interned component class name.
+    pub class: NameId,
+    /// Interned object name (`None` only for pure factory instantiation).
+    pub object: Option<NameId>,
     /// Where the runtime believes the object currently is (from the find
     /// step); lets the engine skip a second lookup.
     pub location_hint: Option<u32>,
@@ -315,20 +350,17 @@ pub struct ExecSpec {
     pub guard: bool,
 }
 
-/// Commands injected by the experiment driver into a MAGE node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Commands the experiment driver hands a MAGE node (through the op
+/// desk; the op id they complete is the desk key, not a field).
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Make a class available in this namespace (out-of-band deployment).
     DeployClass {
-        /// Raw op id to complete.
-        op: u64,
         /// Class name (must exist in the world's class library).
         class: String,
     },
     /// Create and host an object in this namespace.
     CreateObject {
-        /// Raw op id to complete.
-        op: u64,
         /// Class name.
         class: String,
         /// Object name to register.
@@ -344,19 +376,15 @@ pub enum Command {
     },
     /// Locate a component.
     Find {
-        /// Raw op id to complete.
-        op: u64,
-        /// Component name.
-        name: String,
+        /// Component key.
+        key: CompKey,
         /// Origin-server hint.
         home_hint: Option<u32>,
     },
     /// Acquire a lock on an object (finding it first if necessary).
     Lock {
-        /// Raw op id to complete.
-        op: u64,
-        /// Object name.
-        name: String,
+        /// Interned object name.
+        name: NameId,
         /// Raw id of the computation target.
         target: u32,
         /// Origin-server hint.
@@ -364,33 +392,22 @@ pub enum Command {
     },
     /// Release a lock.
     Unlock {
-        /// Raw op id to complete.
-        op: u64,
-        /// Object name.
-        name: String,
+        /// Interned object name.
+        name: NameId,
         /// Origin-server hint.
         home_hint: Option<u32>,
     },
     /// Run a bind/invoke plan.
-    Execute {
-        /// Raw op id to complete.
-        op: u64,
-        /// The plan.
-        spec: ExecSpec,
-    },
+    Execute(ExecSpec),
     /// Restrict which peers may push objects/classes into this namespace
     /// (`None` = trust all, the paper's default: "MAGE trusts its
     /// constituent servers", §7).
     SetTrust {
-        /// Raw op id to complete.
-        op: u64,
         /// Allowed peer raw ids, or `None` to trust everyone.
         allow: Option<Vec<u32>>,
     },
     /// Set admission quotas for this namespace.
     SetQuota {
-        /// Raw op id to complete.
-        op: u64,
         /// Maximum hosted objects (`None` = unlimited).
         max_objects: Option<u64>,
         /// Maximum cached classes (`None` = unlimited).
@@ -398,8 +415,6 @@ pub enum Command {
     },
     /// Permit or refuse replication of classes with static fields (§4.2).
     AllowStaticClasses {
-        /// Raw op id to complete.
-        op: u64,
         /// Whether to allow them.
         allow: bool,
     },
@@ -407,8 +422,6 @@ pub enum Command {
     /// for a component, so tests can construct pathological forwarding
     /// chains (stale self-pointers, cycles) deliberately.
     SeedRegistry {
-        /// Raw op id to complete.
-        op: u64,
         /// Component name (`"class:"` prefix for classes).
         name: String,
         /// Raw node id the entry should point at.
@@ -416,8 +429,8 @@ pub enum Command {
     },
 }
 
-/// Successful completion payload for driver operations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+/// Successful completion of a driver operation.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Outcome {
     /// Raw id of the namespace where the component ended up (or was
     /// invoked).
@@ -429,20 +442,6 @@ pub struct Outcome {
     pub result: Option<Vec<u8>>,
     /// Lock kind, for lock operations.
     pub lock_kind: Option<LockKind>,
-}
-
-/// Encodes a driver completion payload.
-pub fn encode_completion(result: &Result<Outcome, MageError>) -> Vec<u8> {
-    mage_codec::to_bytes(result).expect("completion payload encodes")
-}
-
-/// Decodes a driver completion payload.
-///
-/// # Errors
-///
-/// Returns a [`MageError::Codec`] if the payload is malformed.
-pub fn decode_completion(bytes: &[u8]) -> Result<Result<Outcome, MageError>, MageError> {
-    mage_codec::from_bytes(bytes).map_err(MageError::from)
 }
 
 /// Maps a server-side fault into the corresponding [`MageError`].
@@ -470,39 +469,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exec_spec_roundtrips() {
-        let spec = ExecSpec {
-            class: "GeoDataFilterImpl".into(),
-            object: Some("geoData".into()),
-            location_hint: Some(1),
-            expected_incarnation: Some(Incarnation::from_raw(6)),
-            identity_pinned: true,
-            home_hint: Some(0),
-            backup_hint: Some(3),
-            action: ActionSpec::MoveTo { node: 2 },
-            invoke: Some(InvokeSpec {
-                method: "filterData".into(),
-                args: vec![1, 2],
-                one_way: false,
-            }),
-            guard: true,
+    fn invoke_args_ref_encodes_like_invoke_args() {
+        let owned = InvokeArgs {
+            name: NameId::from_raw(3),
+            method: NameId::from_raw(9),
+            args: vec![0x80, 1, 2],
+            expected: Some(Incarnation::from_raw(5)),
         };
-        let cmd = Command::Execute { op: 7, spec };
-        let bytes = mage_codec::to_bytes(&cmd).unwrap();
-        assert_eq!(mage_codec::from_bytes::<Command>(&bytes).unwrap(), cmd);
-    }
-
-    #[test]
-    fn completion_roundtrips_both_arms() {
-        let ok: Result<Outcome, MageError> = Ok(Outcome {
-            location: 3,
-            incarnation: Incarnation::from_raw(4),
-            result: Some(vec![9]),
-            lock_kind: Some(LockKind::Stay),
-        });
-        assert_eq!(decode_completion(&encode_completion(&ok)).unwrap(), ok);
-        let err: Result<Outcome, MageError> = Err(MageError::NotFound("x".into()));
-        assert_eq!(decode_completion(&encode_completion(&err)).unwrap(), err);
+        let borrowed = InvokeArgsRef {
+            name: owned.name,
+            method: owned.method,
+            args: &owned.args,
+            expected: owned.expected,
+        };
+        let bytes = mage_codec::to_bytes(&borrowed).unwrap();
+        assert_eq!(bytes, mage_codec::to_bytes(&owned).unwrap());
+        assert_eq!(mage_codec::from_bytes::<InvokeArgs>(&bytes).unwrap(), owned);
     }
 
     #[test]

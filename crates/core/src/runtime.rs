@@ -9,6 +9,12 @@
 //! operation advances virtual time deterministically, so `rt.now()`
 //! deltas are the measurements the benchmark harness reports.
 //!
+//! Driver operations reach the nodes through the runtime's op desk (see
+//! `desk.rs`): an operation parks its typed [`Command`] there and injects
+//! one driver event carrying the op id; the node takes the command when
+//! the event is delivered and leaves a typed [`Outcome`] behind. Nothing
+//! on the driver side is encoded or decoded.
+//!
 //! ```
 //! use mage_core::attribute::Rev;
 //! use mage_core::workload_support::{methods, test_object_class};
@@ -39,15 +45,15 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use bytes::Bytes;
 use mage_rmi::{Config as RmiConfig, Endpoint, NameId, SymbolTable};
-use mage_sim::{LinkSpec, Network, NodeId, SimDuration, SimTime, World};
+use mage_sim::{LinkSpec, Network, NodeId, OpId, SimDuration, SimTime, World};
 
 use crate::class::{ClassDef, ClassLibrary};
 use crate::component::Visibility;
+use crate::desk::{OpDesk, SharedDesk};
 use crate::error::MageError;
 use crate::node::{MageNode, NodeConfig};
-use crate::proto::{self, Command, Outcome};
+use crate::proto::{Command, Outcome};
 use crate::registry::{CompKey, IncarnationMinter};
 use crate::session::Session;
 
@@ -78,6 +84,9 @@ pub(crate) struct Inner {
     pub dir: Directory,
     /// The world-wide symbol table shared with every node and endpoint.
     pub syms: Arc<SymbolTable>,
+    /// Typed commands and outcomes of in-flight driver operations, shared
+    /// with every node.
+    pub desk: SharedDesk,
 }
 
 impl Inner {
@@ -88,22 +97,33 @@ impl Inner {
             .ok_or_else(|| MageError::BadPlan(format!("unknown namespace {name:?}")))
     }
 
-    pub fn inject(&mut self, node: NodeId, cmd: Command) {
-        let payload = Bytes::from(mage_codec::to_bytes(&cmd).expect("commands encode"));
+    /// Starts an operation: parks `cmd` on the desk and injects the
+    /// driver event (carrying only the op id) that hands it to `node`.
+    pub fn issue(&mut self, node: NodeId, cmd: Command) -> OpId {
+        let op = self.world.begin_op();
+        let payload = self.desk.borrow_mut().park(op, node, &self.world, cmd);
         self.world.inject(node, "mage-cmd", payload);
+        op
     }
 
-    /// Injects a command and blocks until its completion decodes.
-    pub fn command_sync(
-        &mut self,
-        node: NodeId,
-        build: impl FnOnce(u64) -> Command,
-    ) -> Result<Outcome, MageError> {
-        let op = self.world.begin_op();
-        let cmd = build(op.as_raw());
-        self.inject(node, cmd);
-        let bytes = self.world.block_on(op)?;
-        proto::decode_completion(&bytes)?
+    /// Runs the world until `op` completes and collects its outcome.
+    pub fn wait(&mut self, op: OpId) -> Result<Outcome, MageError> {
+        let done = self.world.block_on(op);
+        let outcome = self.desk.borrow_mut().collect(op);
+        match done {
+            Ok(_) => outcome.expect("a completed op leaves its outcome on the desk"),
+            Err(e) => {
+                // Should it still complete, nobody is left to collect it.
+                self.world.forget_op(op);
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Issues a command and blocks until its outcome arrives.
+    pub fn command_sync(&mut self, node: NodeId, cmd: Command) -> Result<Outcome, MageError> {
+        let op = self.issue(node, cmd);
+        self.wait(op)
     }
 }
 
@@ -207,6 +227,7 @@ impl RuntimeBuilder {
         // World-shared identity mint: incarnation ids are unique across
         // the deployment, so re-creations never collide with originals.
         let minter = IncarnationMinter::shared();
+        let desk = OpDesk::shared();
         let mut world = World::with_network(self.seed, Network::new(self.link));
         if self.trace {
             world.set_trace_mode(mage_sim::TraceMode::Full);
@@ -231,6 +252,7 @@ impl RuntimeBuilder {
             let rmi_cfg = self.rmi;
             let node_syms = Arc::clone(&syms);
             let node_minter = Arc::clone(&minter);
+            let node_desk = Rc::clone(&desk);
             let id = world.add_node_with(name.clone(), move || {
                 Box::new(Endpoint::with_symbols(
                     MageNode::new(
@@ -240,6 +262,7 @@ impl RuntimeBuilder {
                         node_cfg,
                         Arc::clone(&node_syms),
                         Arc::clone(&node_minter),
+                        Rc::clone(&node_desk),
                     ),
                     rmi_cfg,
                     Arc::clone(&node_syms),
@@ -257,6 +280,7 @@ impl RuntimeBuilder {
                 ids: Arc::clone(&ids),
                 dir: Directory::default(),
                 syms,
+                desk,
             })),
             ids,
             names,
@@ -341,12 +365,13 @@ impl Runtime {
     /// Fails if the namespace or class is unknown.
     pub fn deploy_class(&mut self, class: &str, node: &str) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        let class_owned = class.to_owned();
         let mut inner = self.inner.borrow_mut();
-        inner.command_sync(id, |op| Command::DeployClass {
-            op,
-            class: class_owned,
-        })?;
+        inner.command_sync(
+            id,
+            Command::DeployClass {
+                class: class.to_owned(),
+            },
+        )?;
         let key = CompKey::class(inner.syms.intern(class));
         inner.dir.homes.insert(key, id);
         Ok(())
@@ -387,7 +412,7 @@ impl Runtime {
         };
         self.inner
             .borrow_mut()
-            .command_sync(id, move |op| Command::SetTrust { op, allow })?;
+            .command_sync(id, Command::SetTrust { allow })?;
         Ok(())
     }
 
@@ -403,13 +428,13 @@ impl Runtime {
         max_classes: Option<u64>,
     ) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::SetQuota {
-                op,
+        self.inner.borrow_mut().command_sync(
+            id,
+            Command::SetQuota {
                 max_objects,
                 max_classes,
-            })?;
+            },
+        )?;
         Ok(())
     }
 
@@ -423,7 +448,7 @@ impl Runtime {
         let id = self.node_id(node)?;
         self.inner
             .borrow_mut()
-            .command_sync(id, move |op| Command::AllowStaticClasses { op, allow })?;
+            .command_sync(id, Command::AllowStaticClasses { allow })?;
         Ok(())
     }
 
@@ -439,7 +464,11 @@ impl Runtime {
     /// Fails on unknown namespace names.
     pub fn crash(&mut self, node: &str) -> Result<bool, MageError> {
         let id = self.node_id(node)?;
-        Ok(self.inner.borrow_mut().world.crash(id))
+        let inner = &mut *self.inner.borrow_mut();
+        let crashed = inner.world.crash(id);
+        // Ops abandoned while running there can no longer finish.
+        inner.desk.borrow_mut().purge_abandoned(id);
+        Ok(crashed)
     }
 
     /// Restarts a crashed namespace with a fresh, empty MAGE runtime (the
@@ -503,17 +532,25 @@ impl Runtime {
         let id = self.node_id(node)?;
         let loc = self.node_id(at)?.as_raw();
         let component = component.to_owned();
-        self.inner
-            .borrow_mut()
-            .command_sync(id, move |op| Command::SeedRegistry {
-                op,
+        self.inner.borrow_mut().command_sync(
+            id,
+            Command::SeedRegistry {
                 name: component,
                 loc,
-            })?;
+            },
+        )?;
         Ok(())
     }
 
     // ---- world access ----
+
+    /// Number of issued operations whose outcome has been neither
+    /// collected by a [`Pending`](crate::Pending) nor discarded after its
+    /// handle was dropped (a dropped op leaves when it completes, or at
+    /// once if it never can).
+    pub fn ops_in_flight(&self) -> usize {
+        self.inner.borrow().desk.borrow().len()
+    }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {

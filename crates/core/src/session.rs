@@ -58,13 +58,17 @@ use crate::spec::{ObjectHandle, ObjectSpec};
 
 /// A client-side reference to a bound component: which namespace bound it,
 /// and where the object was last known to live.
+///
+/// Invocations send the interned ids; the names themselves are shared
+/// with the symbol table, so cloning a stub never allocates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Stub {
     pub(crate) client: NodeId,
     pub(crate) at: NodeId,
-    pub(crate) object: String,
-    pub(crate) object_id: NameId,
-    pub(crate) class: String,
+    pub(crate) object: NameId,
+    pub(crate) class: NameId,
+    pub(crate) object_name: Arc<str>,
+    pub(crate) class_name: Arc<str>,
     pub(crate) home: Option<NodeId>,
     /// Incarnation of the object this stub was bound against. Invocations
     /// carry it; if the name has since been re-bound to a different
@@ -87,12 +91,12 @@ impl Stub {
 
     /// The object's registered name.
     pub fn object(&self) -> &str {
-        &self.object
+        &self.object_name
     }
 
     /// The object's class.
     pub fn class(&self) -> &str {
-        &self.class
+        &self.class_name
     }
 
     /// The incarnation this stub is bound to (raw id; `0` = untracked).
@@ -128,9 +132,10 @@ pub(crate) struct SessionState {
 /// deferred decode so the receipt can be assembled when the op completes.
 struct BindContext {
     client: NodeId,
-    object: String,
-    object_id: NameId,
-    class: String,
+    object: NameId,
+    class: NameId,
+    object_name: Arc<str>,
+    class_name: Arc<str>,
     coerced: Coerced,
     is_factory: bool,
 }
@@ -142,7 +147,7 @@ fn receipt_from(
     state: &mut SessionState,
 ) -> BindReceipt {
     let at = NodeId::from_raw(outcome.location);
-    let key = CompKey::object(ctx.object_id);
+    let key = CompKey::object(ctx.object);
     state
         .cached_loc
         .insert(key, Located::new(at, outcome.incarnation));
@@ -153,9 +158,10 @@ fn receipt_from(
         stub: Stub {
             client: ctx.client,
             at,
-            object: ctx.object.clone(),
-            object_id: ctx.object_id,
+            object: ctx.object,
             class: ctx.class,
+            object_name: ctx.object_name,
+            class_name: ctx.class_name,
             home: dir.homes.get(&key).copied(),
             incarnation: outcome.incarnation,
         },
@@ -221,20 +227,29 @@ impl Session {
         self.inner.borrow().node_id(name)
     }
 
-    /// Injects a command and blocks until its outcome arrives.
-    fn command(&self, build: impl FnOnce(u64) -> Command) -> Result<Outcome, MageError> {
-        self.inner.borrow_mut().command_sync(self.client, build)
+    /// The text behind an interned name (shared with the symbol table).
+    fn name_of(&self, id: NameId) -> Arc<str> {
+        self.syms.resolve_lossy(id)
     }
 
-    /// Injects a command and returns a typed handle to its outcome.
-    fn issue<T>(&self, build: impl FnOnce(u64) -> Command, decode: DecodeFn<T>) -> Pending<T> {
-        let op = {
-            let mut inner = self.inner.borrow_mut();
-            let op = inner.world.begin_op();
-            let cmd = build(op.as_raw());
-            inner.inject(self.client, cmd);
-            op
-        };
+    /// Raw id of the origin server of object `name`, if known.
+    fn home_hint(&self, name: NameId) -> Option<u32> {
+        let inner = self.inner.borrow();
+        inner
+            .dir
+            .homes
+            .get(&CompKey::object(name))
+            .map(|n| n.as_raw())
+    }
+
+    /// Issues a command and blocks until its outcome arrives.
+    fn command(&self, cmd: Command) -> Result<Outcome, MageError> {
+        self.inner.borrow_mut().command_sync(self.client, cmd)
+    }
+
+    /// Issues a command and returns a typed handle to its outcome.
+    fn issue<T>(&self, cmd: Command, decode: DecodeFn<T>) -> Pending<T> {
+        let op = self.inner.borrow_mut().issue(self.client, cmd);
         Pending::new(op, Rc::clone(&self.inner), Rc::clone(&self.state), decode)
     }
 
@@ -297,14 +312,14 @@ impl Session {
             }),
         };
 
-        let (class_owned, name_owned, state_owned) = (class.clone(), name.clone(), state);
+        let object_id = self.syms.intern(&name);
+        let class_id = self.syms.intern(&class);
         let backup_raw = backup_node.map(|n| n.as_raw());
         let outcome = if target == self.client {
-            self.command(move |op| Command::CreateObject {
-                op,
-                class: class_owned,
-                name: name_owned,
-                state: state_owned,
+            self.command(Command::CreateObject {
+                class,
+                name,
+                state,
                 visibility,
                 durability,
                 backup: backup_raw,
@@ -312,7 +327,7 @@ impl Session {
         } else {
             // Remote birth: the ordinary instantiate ladder (with class
             // logistics) places the object at the attribute's target.
-            let class_key = CompKey::class(self.syms.intern(&class));
+            let class_key = CompKey::class(class_id);
             let home_hint = self
                 .inner
                 .borrow()
@@ -321,8 +336,8 @@ impl Session {
                 .get(&class_key)
                 .map(|n| n.as_raw());
             let exec = ExecSpec {
-                class: class_owned,
-                object: Some(name_owned),
+                class: class_id,
+                object: Some(object_id),
                 location_hint: None,
                 expected_incarnation: None,
                 identity_pinned: false,
@@ -330,7 +345,7 @@ impl Session {
                 backup_hint: backup_raw,
                 action: ActionSpec::Instantiate {
                     node: target.as_raw(),
-                    state: state_owned,
+                    state,
                     visibility,
                     durability,
                     backup: backup_raw,
@@ -340,11 +355,10 @@ impl Session {
                 invoke: None,
                 guard: false,
             };
-            self.command(move |op| Command::Execute { op, spec: exec })?
+            self.command(Command::Execute(exec))?
         };
 
         let at = NodeId::from_raw(outcome.location);
-        let object_id = self.syms.intern(&name);
         let key = CompKey::object(object_id);
         let mut inner = self.inner.borrow_mut();
         inner.dir.homes.insert(key, at);
@@ -368,9 +382,10 @@ impl Session {
             stub: Stub {
                 client: self.client,
                 at,
-                object: name,
-                object_id,
-                class,
+                object: object_id,
+                class: class_id,
+                object_name: self.name_of(object_id),
+                class_name: self.name_of(class_id),
                 home: Some(at),
                 incarnation: outcome.incarnation,
             },
@@ -422,15 +437,14 @@ impl Session {
     /// Never fails at issue time today; kept fallible for symmetry with
     /// the other `_async` forms.
     pub fn find_async(&self, name: &str) -> Result<Pending<NodeId>, MageError> {
-        let key = CompKey::parse(&self.syms, name);
+        Ok(self.find_key_async(CompKey::parse(&self.syms, name)))
+    }
+
+    /// Starts a find of an interned component key.
+    fn find_key_async(&self, key: CompKey) -> Pending<NodeId> {
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
-        Ok(self.issue(
-            move |op| Command::Find {
-                op,
-                name: name_owned,
-                home_hint,
-            },
+        self.issue(
+            Command::Find { key, home_hint },
             Box::new(move |outcome, _dir, state| {
                 let loc = NodeId::from_raw(outcome.location);
                 state
@@ -438,7 +452,7 @@ impl Session {
                     .insert(key, Located::new(loc, outcome.incarnation));
                 Ok(loc)
             }),
-        ))
+        )
     }
 
     /// Explicitly re-binds a stale stub to whatever incarnation currently
@@ -455,8 +469,8 @@ impl Session {
     /// Returns [`MageError::NotFound`] when nothing answers to the name.
     pub fn rebind(&self, stub: &Stub) -> Result<Stub, MageError> {
         self.inner.borrow_mut().world.bump_metric("rebinds");
-        let loc = self.find(&stub.object)?;
-        let key = CompKey::object(stub.object_id);
+        let key = CompKey::object(stub.object);
+        let loc = self.find_key_async(key).wait()?;
         let entry = self
             .state
             .borrow()
@@ -467,11 +481,8 @@ impl Session {
         Ok(Stub {
             client: self.client,
             at: entry.node,
-            object: stub.object.clone(),
-            object_id: stub.object_id,
-            class: stub.class.clone(),
-            home: stub.home,
             incarnation: entry.incarnation,
+            ..stub.clone()
         })
     }
 
@@ -513,7 +524,7 @@ impl Session {
     pub fn bind_async(&self, attr: &dyn MobilityAttribute) -> Result<Pending<Stub>, MageError> {
         let (spec, ctx) = self.plan_exec(attr, None)?;
         Ok(self.issue(
-            move |op| Command::Execute { op, spec },
+            Command::Execute(spec),
             Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state).stub)),
         ))
     }
@@ -529,7 +540,7 @@ impl Session {
     ) -> Result<Pending<BindReceipt>, MageError> {
         let (spec, ctx) = self.plan_exec(attr, None)?;
         Ok(self.issue(
-            move |op| Command::Execute { op, spec },
+            Command::Execute(spec),
             Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state))),
         ))
     }
@@ -572,13 +583,13 @@ impl Session {
         R: DeserializeOwned,
     {
         let invoke = InvokeSpec {
-            method: method.name().to_owned(),
+            method: self.syms.intern(method.name()),
             args: mage_codec::to_bytes(args)?,
             one_way: attr.one_way(),
         };
         let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
         Ok(self.issue(
-            move |op| Command::Execute { op, spec },
+            Command::Execute(spec),
             Box::new(move |outcome, dir, state| {
                 let receipt = receipt_from(ctx, &outcome, dir, state);
                 let result = match receipt.result {
@@ -604,12 +615,12 @@ impl Session {
         args: Vec<u8>,
     ) -> Result<(Stub, Option<Vec<u8>>), MageError> {
         let invoke = InvokeSpec {
-            method: method.to_owned(),
+            method: self.syms.intern(method),
             args,
             one_way: attr.one_way(),
         };
         let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
-        let outcome = self.command(move |op| Command::Execute { op, spec })?;
+        let outcome = self.command(Command::Execute(spec))?;
         let mut inner = self.inner.borrow_mut();
         let mut state = self.state.borrow_mut();
         let receipt = receipt_from(ctx, &outcome, &mut inner.dir, &mut state);
@@ -643,15 +654,13 @@ impl Session {
         invoke: Option<InvokeSpec>,
     ) -> Result<(ExecSpec, BindContext), MageError> {
         let client_id = self.client;
-        let component = attr.component().clone();
+        let component = attr.component();
         let base_name = component
             .object_name()
-            .ok_or_else(|| MageError::BadPlan("attribute has no object name".into()))?
-            .to_owned();
-        let class = component.class_name().to_owned();
-        let base_id = self.syms.intern(&base_name);
+            .ok_or_else(|| MageError::BadPlan("attribute has no object name".into()))?;
+        let base_id = self.syms.intern(base_name);
         let base_key = CompKey::object(base_id);
-        let class_id = self.syms.intern(&class);
+        let class_id = self.syms.intern(component.class_name());
 
         // Preliminary plan using cached knowledge (private objects'
         // cached location is authoritative, §3.5). A fresh session falls
@@ -680,7 +689,7 @@ impl Session {
             // location was already known) surface untouched, without
             // consulting a stateful planner a second time.
             Err(MageError::NotFound(missing)) if cached.is_none() => {
-                let Ok(loc) = self.find(&base_name) else {
+                let Ok(loc) = self.find_key_async(base_key).wait() else {
                     return Err(MageError::NotFound(missing));
                 };
                 did_find = true;
@@ -716,7 +725,7 @@ impl Session {
             } else if public || located.is_none() {
                 // Shared objects may have been moved by another session and
                 // must be found before use (§3.5).
-                match self.find(&base_name) {
+                match self.find_key_async(base_key).wait() {
                     Ok(loc) => Some(loc),
                     Err(MageError::NotFound(_)) => None,
                     Err(e) => return Err(e),
@@ -743,12 +752,6 @@ impl Session {
         let situation = Situation::classify(client_id, classify_target, location);
         let coerced = coerce(attr.model(), situation)?;
 
-        // Factory binds register the fresh instance under the component's
-        // object name, replacing any previous instance (RMI-style rebind);
-        // that is how the paper's REV factory creates `geoData` on
-        // `sensor1` for later attributes to bind to (§3.6).
-        let object_name = base_name.clone();
-
         let action = match coerced {
             Coerced::AsLpc => ActionSpec::Local,
             Coerced::AsRpc => ActionSpec::InvokeAt {
@@ -764,14 +767,14 @@ impl Session {
                     },
                     Target::Current => match location {
                         Some(loc) => ActionSpec::InvokeAt { node: loc.as_raw() },
-                        None => return Err(MageError::NotFound(base_name)),
+                        None => return Err(MageError::NotFound(base_name.to_owned())),
                     },
                 },
                 Mode::Move => {
                     let dest =
                         target.ok_or_else(|| MageError::BadPlan("move needs a target".into()))?;
                     if location.is_none() {
-                        return Err(MageError::NotFound(base_name));
+                        return Err(MageError::NotFound(base_name.to_owned()));
                     }
                     ActionSpec::MoveTo {
                         node: dest.as_raw(),
@@ -815,8 +818,13 @@ impl Session {
         });
         let inner = self.inner.borrow();
         let spec = ExecSpec {
-            class: class.clone(),
-            object: Some(object_name.clone()),
+            class: class_id,
+            // Factory binds register the fresh instance under the
+            // component's object name, replacing any previous instance
+            // (RMI-style rebind); that is how the paper's REV factory
+            // creates `geoData` on `sensor1` for later attributes to bind
+            // to (§3.6).
+            object: Some(base_id),
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation,
             identity_pinned: false,
@@ -835,9 +843,10 @@ impl Session {
             spec,
             BindContext {
                 client: client_id,
-                object: object_name,
-                object_id: base_id,
-                class,
+                object: base_id,
+                class: class_id,
+                object_name: self.name_of(base_id),
+                class_name: self.name_of(class_id),
                 coerced,
                 is_factory,
             },
@@ -855,7 +864,7 @@ impl Session {
     /// `StaleIdentity`, even when the session already knows about a
     /// replacement. Rebinding to the replacement is an explicit act
     /// ([`Session::rebind`]), never a side effect of a cache refresh.
-    fn invoke_spec(&self, stub: &Stub, method: &str, args: Vec<u8>, one_way: bool) -> ExecSpec {
+    fn invoke_spec(&self, stub: &Stub, method: NameId, args: Vec<u8>, one_way: bool) -> ExecSpec {
         self.invoke_spec_with(stub, method, args, one_way, true)
     }
 
@@ -865,7 +874,7 @@ impl Session {
     fn invoke_spec_with(
         &self,
         stub: &Stub,
-        method: &str,
+        method: NameId,
         args: Vec<u8>,
         one_way: bool,
         pinned: bool,
@@ -874,12 +883,12 @@ impl Session {
             .state
             .borrow()
             .cached_loc
-            .get(&CompKey::object(stub.object_id))
+            .get(&CompKey::object(stub.object))
             .map(|entry| entry.node)
             .unwrap_or(stub.at);
         ExecSpec {
-            class: stub.class.clone(),
-            object: Some(stub.object.clone()),
+            class: stub.class,
+            object: Some(stub.object),
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
@@ -889,11 +898,11 @@ impl Session {
                 .borrow()
                 .dir
                 .backups
-                .get(&CompKey::object(stub.object_id))
+                .get(&CompKey::object(stub.object))
                 .map(|n| n.as_raw()),
             action: ActionSpec::InvokeAt { node: at.as_raw() },
             invoke: Some(InvokeSpec {
-                method: method.to_owned(),
+                method,
                 args,
                 one_way,
             }),
@@ -930,10 +939,11 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let spec = self.invoke_spec(stub, method.name(), mage_codec::to_bytes(args)?, false);
-        let object_key = CompKey::object(stub.object_id);
+        let method = self.syms.intern(method.name());
+        let spec = self.invoke_spec(stub, method, mage_codec::to_bytes(args)?, false);
+        let object_key = CompKey::object(stub.object);
         Ok(self.issue(
-            move |op| Command::Execute { op, spec },
+            Command::Execute(spec),
             Box::new(move |outcome, _dir, state| {
                 state.cached_loc.insert(
                     object_key,
@@ -953,7 +963,7 @@ impl Session {
     ///
     /// Propagates invocation faults.
     pub fn call_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<Vec<u8>, MageError> {
-        self.invoke_through(stub, method, args, true)
+        self.invoke_through(stub, self.syms.intern(method), args, true)
     }
 
     /// Shared blocking-invocation core: runs the invoke ladder with the
@@ -961,14 +971,14 @@ impl Session {
     fn invoke_through(
         &self,
         stub: &Stub,
-        method: &str,
+        method: NameId,
         args: Vec<u8>,
         pinned: bool,
     ) -> Result<Vec<u8>, MageError> {
         let spec = self.invoke_spec_with(stub, method, args, false, pinned);
-        let outcome = self.command(move |op| Command::Execute { op, spec })?;
+        let outcome = self.command(Command::Execute(spec))?;
         self.state.borrow_mut().cached_loc.insert(
-            CompKey::object(stub.object_id),
+            CompKey::object(stub.object),
             Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
         );
         outcome
@@ -1007,14 +1017,22 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let bytes = mage_codec::to_bytes(args)?;
-        let first = self.invoke_through(&handle.stub, method.name(), bytes.clone(), handle.pinned);
+        let method = self.syms.intern(method.name());
+        let first = self.invoke_through(
+            &handle.stub,
+            method,
+            mage_codec::to_bytes(args)?,
+            handle.pinned,
+        );
         let out = match first {
             Err(MageError::StaleIdentity { .. }) if handle.durability.is_replicated() => {
                 let fresh = self.rebind(&handle.stub)?;
                 handle.stub = fresh;
                 self.inner.borrow_mut().world.bump_metric("auto_rebinds");
-                self.invoke_through(&handle.stub, method.name(), bytes, handle.pinned)?
+                // The rare retry marshals the arguments again rather than
+                // every call keeping a copy for it.
+                let bytes = mage_codec::to_bytes(args)?;
+                self.invoke_through(&handle.stub, method, bytes, handle.pinned)?
             }
             other => other?,
         };
@@ -1026,7 +1044,7 @@ impl Session {
     /// incarnation only for unpinned handles, where identity tracking is
     /// the engine's job, not the caller's).
     fn refresh_handle(&self, handle: &mut ObjectHandle) {
-        let key = CompKey::object(handle.stub.object_id);
+        let key = CompKey::object(handle.stub.object);
         if let Some(entry) = self.state.borrow().cached_loc.get(&key) {
             handle.stub.at = entry.node;
             if !handle.pinned && !entry.incarnation.is_none() {
@@ -1081,9 +1099,9 @@ impl Session {
         method: &str,
         args: Vec<u8>,
     ) -> Result<Pending<()>, MageError> {
-        let spec = self.invoke_spec(stub, method, args, true);
+        let spec = self.invoke_spec(stub, self.syms.intern(method), args, true);
         Ok(self.issue(
-            move |op| Command::Execute { op, spec },
+            Command::Execute(spec),
             Box::new(|_outcome, _dir, _state| Ok(())),
         ))
     }
@@ -1108,13 +1126,11 @@ impl Session {
     /// Fails on unknown namespace names.
     pub fn lock_async(&self, name: &str, target: &str) -> Result<Pending<LockKind>, MageError> {
         let target = self.node_id(target)?;
-        let key = CompKey::object(self.syms.intern(name));
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
+        let name = self.syms.intern(name);
+        let home_hint = self.home_hint(name);
         Ok(self.issue(
-            move |op| Command::Lock {
-                op,
-                name: name_owned,
+            Command::Lock {
+                name,
                 target: target.as_raw(),
                 home_hint,
             },
@@ -1141,15 +1157,10 @@ impl Session {
     ///
     /// Never fails at issue time today; kept fallible for symmetry.
     pub fn unlock_async(&self, name: &str) -> Result<Pending<()>, MageError> {
-        let key = CompKey::object(self.syms.intern(name));
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
-        let name_owned = name.to_owned();
+        let name = self.syms.intern(name);
+        let home_hint = self.home_hint(name);
         Ok(self.issue(
-            move |op| Command::Unlock {
-                op,
-                name: name_owned,
-                home_hint,
-            },
+            Command::Unlock { name, home_hint },
             Box::new(|_outcome, _dir, _state| Ok(())),
         ))
     }

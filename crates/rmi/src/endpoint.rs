@@ -36,11 +36,11 @@
 //! machine that can originate calls, answer calls not handled by the local
 //! object registry, and defer replies while it performs nested calls.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use mage_sim::{Actor, Context, Label, NodeId, OpId, SimDuration, SimTime, TimerId};
+use mage_sim::{Actor, Context, IdMap, Label, NodeId, OpId, SimDuration, SimTime, TimerId};
 use rand::rngs::StdRng;
 
 use crate::cost::CostModel;
@@ -251,21 +251,21 @@ enum NameState {
 pub struct EndpointState {
     cfg: Config,
     syms: Arc<SymbolTable>,
-    objects: HashMap<NameId, Box<dyn RemoteObject>>,
+    objects: IdMap<NameId, Box<dyn RemoteObject>>,
     next_call: u64,
-    pending: HashMap<u64, PendingCall>,
+    pending: IdMap<u64, PendingCall>,
     primed: BTreeSet<NodeId>,
     /// Sender side of first-use name shipment: per peer, which of our ids
     /// the peer has (or is about to have) learned.
-    shipped: HashMap<NodeId, HashMap<NameId, NameState>>,
+    shipped: IdMap<NodeId, IdMap<NameId, NameState>>,
     /// Receiver side: translation of a peer's wire ids to our local ids,
     /// learned from first-use strings.
-    learned: HashMap<(NodeId, u32), NameId>,
+    learned: IdMap<(NodeId, u32), NameId>,
     /// Last incarnation of each peer learned from a received frame's
     /// sender-epoch field; a change invalidates every per-peer table above
     /// and below (the old incarnation's acks, learned ids, primed
     /// connection and cached responses died with it).
-    peer_epochs: HashMap<NodeId, u64>,
+    peer_epochs: IdMap<NodeId, u64>,
     /// Calls handed to the app and awaiting a deferred reply, keyed by
     /// `(caller, call_id)` with the caller epoch stamped in the request —
     /// so a purge can drop exactly the entries belonging to a dead
@@ -273,7 +273,7 @@ pub struct EndpointState {
     deferred: BTreeMap<(NodeId, u64), u64>,
     /// At-most-once dedup cache: responses stored as ready-to-resend
     /// frames with their static label and the caller epoch they answer.
-    response_cache: HashMap<(NodeId, u64), (Bytes, &'static str, u64)>,
+    response_cache: IdMap<(NodeId, u64), (Bytes, &'static str, u64)>,
     cache_order: VecDeque<(NodeId, u64)>,
     /// Reusable encode buffer for every outgoing frame.
     scratch: Vec<u8>,
@@ -284,15 +284,15 @@ impl EndpointState {
         EndpointState {
             cfg,
             syms,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             next_call: 0,
-            pending: HashMap::new(),
+            pending: IdMap::default(),
             primed: BTreeSet::new(),
-            shipped: HashMap::new(),
-            learned: HashMap::new(),
-            peer_epochs: HashMap::new(),
+            shipped: IdMap::default(),
+            learned: IdMap::default(),
+            peer_epochs: IdMap::default(),
             deferred: BTreeMap::new(),
-            response_cache: HashMap::new(),
+            response_cache: IdMap::default(),
             cache_order: VecDeque::new(),
             scratch: Vec::with_capacity(256),
         }

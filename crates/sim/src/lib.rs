@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 mod actor;
+mod idmap;
 pub mod metrics;
 mod network;
 pub mod time;
@@ -48,6 +49,7 @@ pub mod trace;
 mod world;
 
 pub use actor::{Actor, Context, Label, OpId, TimerId};
+pub use idmap::{IdHasher, IdMap};
 pub use metrics::{Metrics, NetCounters, Samples};
 pub use network::{DropReason, Network};
 pub use time::{transfer_time, SimDuration, SimTime};

@@ -2,7 +2,7 @@
 //! network fabric.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap};
 use std::error::Error;
 use std::fmt;
 
@@ -11,6 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, Context, Effect, Label, OpId, TimerId};
+use crate::idmap::IdMap;
 use crate::metrics::Metrics;
 use crate::network::{DropReason, Network};
 use crate::time::{SimDuration, SimTime};
@@ -153,7 +154,7 @@ pub struct World {
     trace: TraceLog,
     metrics: Metrics,
     cancelled: BTreeSet<TimerId>,
-    ops: HashMap<OpId, OpSlot>,
+    ops: IdMap<OpId, OpSlot>,
     next_op: u64,
     next_timer: u64,
     next_msg: u64,
@@ -182,7 +183,7 @@ impl World {
             trace: TraceLog::new(),
             metrics: Metrics::new(),
             cancelled: BTreeSet::new(),
-            ops: HashMap::new(),
+            ops: IdMap::default(),
             next_op: 0,
             next_timer: 0,
             next_msg: 0,
