@@ -1,7 +1,7 @@
 //! Wall-clock cost of the marshalling substrate (`mage-codec`), the layer
 //! whose simulated cost dominates every row of Table 3 — plus the
-//! owned-vs-borrowed decode comparison on the CallReq shape and the
-//! v1-vs-v2 wire-format comparison that motivated PR 2's zero-copy path.
+//! owned-vs-borrowed decode comparison on the CallReq shape and the cost
+//! of encoding and decoding a wire frame.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -56,22 +56,14 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
-/// v1 (serde, owned strings + copied args) against v2 (interned ids +
-/// `Bytes`-sliced args) on the same logical CallReq.
+/// The wire frame (interned ids + `Bytes`-sliced args) of a CallReq.
 fn bench_wire_formats(c: &mut Criterion) {
     use bytes::Bytes;
-    use mage_rmi::wire::{Message, NameRef, WireMsg};
+    use mage_rmi::wire::{NameRef, WireMsg};
     use mage_rmi::NameId;
 
     let mut group = c.benchmark_group("wire");
     for size in [16usize, 1024, 65_536] {
-        let v1 = Message::CallReq {
-            call_id: 42,
-            object: "geoData".into(),
-            method: "filterData".into(),
-            args: vec![7u8; size],
-        };
-        let v1_frame = v1.encode();
         let v2 = WireMsg::CallReq {
             call_id: 42,
             sender_epoch: 1,
@@ -80,9 +72,6 @@ fn bench_wire_formats(c: &mut Criterion) {
             args: Bytes::from(vec![7u8; size]),
         };
         let v2_frame = v2.encode();
-        group.bench_function(format!("v1_decode_{size}B"), |b| {
-            b.iter(|| Message::decode(std::hint::black_box(&v1_frame)).unwrap())
-        });
         group.bench_function(format!("v2_decode_{size}B"), |b| {
             b.iter(|| WireMsg::decode(std::hint::black_box(&v2_frame)).unwrap())
         });

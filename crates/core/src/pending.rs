@@ -1,34 +1,51 @@
 //! Typed in-flight operations.
 //!
-//! Every [`Session`](crate::Session) operation has an `_async` form that
-//! issues its command into the simulated world and immediately returns a
-//! [`Pending<T>`] — a typed handle to the eventual result. The command
-//! waits on the runtime's op desk until the world delivers its driver
-//! event to the node, and the node leaves the typed outcome on the same
-//! desk; nothing crosses that hop encoded. Turning the outcome into `T`
-//! (and updating the session's caches) is deferred to [`Pending::wait`],
-//! so a driver can issue a whole batch of operations (across several
+//! Every [`Session`](crate::Session) operation runs one path: it issues
+//! its command into the simulated world and gets back a [`Pending<T>`] — a
+//! typed handle to the eventual result — and its blocking form is just
+//! `_async(..)?.wait()`. The command waits on the runtime's op desk until
+//! the world delivers its driver event to the node, and the node leaves
+//! the typed outcome on the same desk; nothing crosses that hop encoded.
+//!
+//! A `Pending` carries no closure, only plain data: what the completed
+//! operation teaches the session (nothing, where a component was found, or
+//! a bind's resolved plan) and a plain `fn` that turns the outcome into
+//! `T`. [`Pending::wait`] records the lesson in the session's caches —
+//! once, for every operation — and then decodes. Deferring both to `wait`
+//! lets a driver issue a whole batch of operations (across several
 //! sessions), pump the world with [`Runtime::step`](crate::Runtime::step)
-//! or [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and
-//! only then collect results. This is what makes the paper's §4.4
-//! concurrent locking and Figure 8 contention scenarios first-class
-//! instead of bolted on.
+//! or [`Runtime::run_until_idle`](crate::Runtime::run_until_idle), and only
+//! then collect results. This is what makes the paper's §4.4 concurrent
+//! locking and Figure 8 contention scenarios first-class instead of bolted
+//! on.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use mage_sim::OpId;
+use mage_sim::{NodeId, OpId};
 
 use crate::error::MageError;
 use crate::proto::Outcome;
-use crate::runtime::{Directory, Inner};
-use crate::session::SessionState;
+use crate::registry::{CompKey, Located};
+use crate::runtime::Inner;
+use crate::session::{BindContext, BindReceipt, SessionState};
 
-/// Turns a completed [`Outcome`] into the operation's typed result,
-/// applying any cache updates (object locations, factory homes) as a side
-/// effect.
-pub(crate) type DecodeFn<T> =
-    Box<dyn FnOnce(Outcome, &mut Directory, &mut SessionState) -> Result<T, MageError>>;
+/// What [`Pending::wait`] records from a completed [`Outcome`], and the
+/// plain function that then produces the operation's typed result.
+pub(crate) enum Completion<T> {
+    /// Caches where (and as which incarnation) the operation found its
+    /// component, if it located one, then decodes the outcome.
+    Outcome {
+        located: Option<CompKey>,
+        decode: fn(Outcome) -> Result<T, MageError>,
+    },
+    /// Assembles the bind receipt (caching the location and any factory
+    /// home), then decodes the receipt.
+    Bind {
+        ctx: BindContext,
+        decode: fn(BindReceipt) -> Result<T, MageError>,
+    },
+}
 
 /// A typed, in-flight driver operation.
 ///
@@ -43,7 +60,7 @@ pub struct Pending<T> {
     state: Rc<RefCell<SessionState>>,
     /// `Some` until [`wait`](Pending::wait) consumes it (an `Option` so
     /// the `Drop` impl can coexist with the by-value `wait`).
-    decode: Option<DecodeFn<T>>,
+    completion: Option<Completion<T>>,
 }
 
 impl<T> Pending<T> {
@@ -51,13 +68,13 @@ impl<T> Pending<T> {
         op: OpId,
         inner: Rc<RefCell<Inner>>,
         state: Rc<RefCell<SessionState>>,
-        decode: DecodeFn<T>,
+        completion: Completion<T>,
     ) -> Self {
         Pending {
             op,
             inner,
             state,
-            decode: Some(decode),
+            completion: Some(completion),
         }
     }
 
@@ -75,19 +92,35 @@ impl<T> Pending<T> {
         self.inner.borrow().world.op_result(self.op).is_some()
     }
 
-    /// Runs the world until the operation completes, then collects its
-    /// typed result.
+    /// Runs the world until the operation completes, records what it
+    /// located in the session's caches, and collects its typed result.
     ///
     /// # Errors
     ///
     /// Propagates the operation's failure, a simulation stall, or a
     /// failure to unmarshal an invocation result.
     pub fn wait(mut self) -> Result<T, MageError> {
-        let decode = self.decode.take().expect("wait consumes the handle once");
+        let completion = self
+            .completion
+            .take()
+            .expect("wait consumes the handle once");
         let outcome = self.inner.borrow_mut().wait(self.op)?;
-        let mut inner = self.inner.borrow_mut();
-        let mut state = self.state.borrow_mut();
-        decode(outcome, &mut inner.dir, &mut state)
+        match completion {
+            Completion::Outcome { located, decode } => {
+                if let Some(key) = located {
+                    let at = Located::new(NodeId::from_raw(outcome.location), outcome.incarnation);
+                    self.state.borrow_mut().cached_loc.insert(key, at);
+                }
+                decode(outcome)
+            }
+            Completion::Bind { ctx, decode } => {
+                let receipt = {
+                    let mut inner = self.inner.borrow_mut();
+                    ctx.receipt(outcome, &mut inner.dir, &mut self.state.borrow_mut())
+                };
+                decode(receipt)
+            }
+        }
     }
 }
 
@@ -96,7 +129,7 @@ impl<T> Drop for Pending<T> {
         // An un-waited handle abandons its result: neither the world nor
         // the desk retains the completion (the operation itself still
         // runs).
-        if self.decode.is_some() {
+        if self.completion.is_some() {
             let inner = &mut *self.inner.borrow_mut();
             inner.world.forget_op(self.op);
             inner.desk.borrow_mut().abandon(self.op, &inner.world);

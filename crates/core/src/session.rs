@@ -9,6 +9,11 @@
 //! returns a typed [`Pending`] handle, and the driver decides when to pump
 //! the world and collect results.
 //!
+//! Every operation takes one path: plan, issue the command, and let
+//! [`Pending::wait`] record what it located and decode the result. A
+//! blocking form is its `_async` form followed by `wait`; only object
+//! creation, which has no async form, waits inline.
+//!
 //! ```
 //! use mage_core::attribute::Rev;
 //! use mage_core::workload_support::{methods, test_object_class};
@@ -50,7 +55,7 @@ use crate::coercion::{coerce, Coerced, Situation};
 use crate::component::{Durability, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
-use crate::pending::{DecodeFn, Pending};
+use crate::pending::{Completion, Pending};
 use crate::proto::{ActionSpec, Command, ExecSpec, InvokeSpec, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 use crate::runtime::{Directory, Inner};
@@ -128,9 +133,9 @@ pub(crate) struct SessionState {
     pub cached_loc: BTreeMap<CompKey, Located>,
 }
 
-/// Everything a bind plan resolved before execution; carried into the
-/// deferred decode so the receipt can be assembled when the op completes.
-struct BindContext {
+/// Everything a bind plan resolved before execution; carried by the
+/// [`Pending`] so the receipt can be assembled when the op completes.
+pub(crate) struct BindContext {
     client: NodeId,
     object: NameId,
     class: NameId,
@@ -140,35 +145,59 @@ struct BindContext {
     is_factory: bool,
 }
 
-fn receipt_from(
-    ctx: BindContext,
-    outcome: &Outcome,
-    dir: &mut Directory,
-    state: &mut SessionState,
-) -> BindReceipt {
-    let at = NodeId::from_raw(outcome.location);
-    let key = CompKey::object(ctx.object);
-    state
-        .cached_loc
-        .insert(key, Located::new(at, outcome.incarnation));
-    if ctx.is_factory {
-        dir.homes.insert(key, at);
+impl BindContext {
+    /// Caches where the bind left the component (and, for factories, its
+    /// new home), then assembles the receipt.
+    pub(crate) fn receipt(
+        self,
+        outcome: Outcome,
+        dir: &mut Directory,
+        state: &mut SessionState,
+    ) -> BindReceipt {
+        let at = NodeId::from_raw(outcome.location);
+        let key = CompKey::object(self.object);
+        state
+            .cached_loc
+            .insert(key, Located::new(at, outcome.incarnation));
+        if self.is_factory {
+            dir.homes.insert(key, at);
+        }
+        BindReceipt {
+            stub: Stub {
+                client: self.client,
+                at,
+                object: self.object,
+                class: self.class,
+                object_name: self.object_name,
+                class_name: self.class_name,
+                home: dir.homes.get(&key).copied(),
+                incarnation: outcome.incarnation,
+            },
+            coerced: self.coerced,
+            lock_kind: outcome.lock_kind,
+            result: outcome.result,
+        }
     }
-    BindReceipt {
-        stub: Stub {
-            client: ctx.client,
-            at,
-            object: ctx.object,
-            class: ctx.class,
-            object_name: ctx.object_name,
-            class_name: ctx.class_name,
-            home: dir.homes.get(&key).copied(),
-            incarnation: outcome.incarnation,
-        },
-        coerced: ctx.coerced,
-        lock_kind: outcome.lock_kind,
-        result: outcome.result.clone(),
-    }
+}
+
+/// Decodes an invocation's marshalled result.
+fn decode_result<R: DeserializeOwned>(outcome: Outcome) -> Result<R, MageError> {
+    let bytes = outcome
+        .result
+        .ok_or_else(|| MageError::Rmi("invocation returned no result".into()))?;
+    mage_codec::from_bytes(&bytes).map_err(MageError::from)
+}
+
+/// Splits a bind-and-invoke receipt into the stub and the decoded result
+/// (`None` for one-way attributes).
+fn decode_invoked<R: DeserializeOwned>(
+    receipt: BindReceipt,
+) -> Result<(Stub, Option<R>), MageError> {
+    let result = match receipt.result {
+        Some(bytes) => Some(mage_codec::from_bytes(&bytes)?),
+        None => None,
+    };
+    Ok((receipt.stub, result))
 }
 
 /// A client handle bound to one namespace of a running deployment.
@@ -242,15 +271,21 @@ impl Session {
             .map(|n| n.as_raw())
     }
 
-    /// Issues a command and blocks until its outcome arrives.
+    /// Issues a command and blocks until its outcome arrives (object
+    /// creation only; every other operation returns a [`Pending`]).
     fn command(&self, cmd: Command) -> Result<Outcome, MageError> {
         self.inner.borrow_mut().command_sync(self.client, cmd)
     }
 
     /// Issues a command and returns a typed handle to its outcome.
-    fn issue<T>(&self, cmd: Command, decode: DecodeFn<T>) -> Pending<T> {
+    fn issue<T>(&self, cmd: Command, completion: Completion<T>) -> Pending<T> {
         let op = self.inner.borrow_mut().issue(self.client, cmd);
-        Pending::new(op, Rc::clone(&self.inner), Rc::clone(&self.state), decode)
+        Pending::new(
+            op,
+            Rc::clone(&self.inner),
+            Rc::clone(&self.state),
+            completion,
+        )
     }
 
     // ---- object creation ----
@@ -394,31 +429,6 @@ impl Session {
         })
     }
 
-    /// Creates an object of `class` named `name` in this namespace.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the class is not deployed here or the name is taken.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `session.create(ObjectSpec::new(name).class(class).state(state).visibility(v))`"
-    )]
-    pub fn create_object<T: Serialize>(
-        &self,
-        class: &str,
-        name: &str,
-        state: &T,
-        visibility: Visibility,
-    ) -> Result<Stub, MageError> {
-        self.create(
-            ObjectSpec::new(name)
-                .class(class)
-                .state(state)
-                .visibility(visibility),
-        )
-        .map(ObjectHandle::into_stub)
-    }
-
     // ---- find ----
 
     /// Locates a component from this session's point of view.
@@ -445,13 +455,10 @@ impl Session {
         let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         self.issue(
             Command::Find { key, home_hint },
-            Box::new(move |outcome, _dir, state| {
-                let loc = NodeId::from_raw(outcome.location);
-                state
-                    .cached_loc
-                    .insert(key, Located::new(loc, outcome.incarnation));
-                Ok(loc)
-            }),
+            Completion::Outcome {
+                located: Some(key),
+                decode: |outcome| Ok(NodeId::from_raw(outcome.location)),
+            },
         )
     }
 
@@ -499,7 +506,7 @@ impl Session {
     /// Propagates coercion errors (Table 2's exception cells), lookup
     /// failures and protocol denials.
     pub fn bind(&self, attr: &dyn MobilityAttribute) -> Result<Stub, MageError> {
-        self.bind_full(attr).map(|receipt| receipt.stub)
+        self.bind_async(attr)?.wait()
     }
 
     /// Binds and returns the full receipt (coercion outcome, lock kind).
@@ -508,7 +515,7 @@ impl Session {
     ///
     /// Same as [`Session::bind`].
     pub fn bind_full(&self, attr: &dyn MobilityAttribute) -> Result<BindReceipt, MageError> {
-        self.bind_full_async(attr)?.wait()
+        self.bind_with(attr, None, Ok)?.wait()
     }
 
     /// Starts a bind without blocking on the placement protocol.
@@ -522,27 +529,7 @@ impl Session {
     ///
     /// Same as [`Session::bind`] for planning-stage failures.
     pub fn bind_async(&self, attr: &dyn MobilityAttribute) -> Result<Pending<Stub>, MageError> {
-        let (spec, ctx) = self.plan_exec(attr, None)?;
-        Ok(self.issue(
-            Command::Execute(spec),
-            Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state).stub)),
-        ))
-    }
-
-    /// Starts a bind without blocking, resolving to the full receipt.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::bind_async`].
-    pub fn bind_full_async(
-        &self,
-        attr: &dyn MobilityAttribute,
-    ) -> Result<Pending<BindReceipt>, MageError> {
-        let (spec, ctx) = self.plan_exec(attr, None)?;
-        Ok(self.issue(
-            Command::Execute(spec),
-            Box::new(move |outcome, dir, state| Ok(receipt_from(ctx, &outcome, dir, state))),
-        ))
+        self.bind_with(attr, None, |receipt| Ok(receipt.stub))
     }
 
     /// Binds and invokes in a single bracketed engine operation (the §4.4
@@ -587,44 +574,19 @@ impl Session {
             args: mage_codec::to_bytes(args)?,
             one_way: attr.one_way(),
         };
-        let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
-        Ok(self.issue(
-            Command::Execute(spec),
-            Box::new(move |outcome, dir, state| {
-                let receipt = receipt_from(ctx, &outcome, dir, state);
-                let result = match receipt.result {
-                    Some(bytes) => Some(mage_codec::from_bytes(&bytes)?),
-                    None => None,
-                };
-                Ok((receipt.stub, result))
-            }),
-        ))
+        self.bind_with(attr, Some(invoke), decode_invoked::<R>)
     }
 
-    /// Binds and invokes with a dynamic method name and pre-marshalled
-    /// arguments (the untyped escape hatch; prefer
-    /// [`bind_invoke`](Session::bind_invoke)).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::bind_invoke`].
-    pub fn bind_invoke_raw(
+    /// Plans a bind (optionally carrying an invocation) and issues it; the
+    /// receipt is assembled on completion and handed to `decode`.
+    fn bind_with<T>(
         &self,
         attr: &dyn MobilityAttribute,
-        method: &str,
-        args: Vec<u8>,
-    ) -> Result<(Stub, Option<Vec<u8>>), MageError> {
-        let invoke = InvokeSpec {
-            method: self.syms.intern(method),
-            args,
-            one_way: attr.one_way(),
-        };
-        let (spec, ctx) = self.plan_exec(attr, Some(invoke))?;
-        let outcome = self.command(Command::Execute(spec))?;
-        let mut inner = self.inner.borrow_mut();
-        let mut state = self.state.borrow_mut();
-        let receipt = receipt_from(ctx, &outcome, &mut inner.dir, &mut state);
-        Ok((receipt.stub, receipt.result))
+        invoke: Option<InvokeSpec>,
+        decode: fn(BindReceipt) -> Result<T, MageError>,
+    ) -> Result<Pending<T>, MageError> {
+        let (spec, ctx) = self.plan_exec(attr, invoke)?;
+        Ok(self.issue(Command::Execute(spec), Completion::Bind { ctx, decode }))
     }
 
     /// Consults the attribute's plan against a view of the system with the
@@ -855,61 +817,6 @@ impl Session {
 
     // ---- invocation ----
 
-    /// Builds the spec for a plain invocation through a stub.
-    ///
-    /// Location and identity separate here: the session cache advises
-    /// *where* to send the call (objects move behind a stub's back, §3.5),
-    /// but the *identity* invoked is pinned by the stub itself — a stub
-    /// either reaches the object it was bound to or resolves to
-    /// `StaleIdentity`, even when the session already knows about a
-    /// replacement. Rebinding to the replacement is an explicit act
-    /// ([`Session::rebind`]), never a side effect of a cache refresh.
-    fn invoke_spec(&self, stub: &Stub, method: NameId, args: Vec<u8>, one_way: bool) -> ExecSpec {
-        self.invoke_spec_with(stub, method, args, one_way, true)
-    }
-
-    /// [`invoke_spec`](Session::invoke_spec) with the identity pinning
-    /// made explicit: unpinned handles let the engine re-resolve identity
-    /// (recovery of a replicated object becomes invisible to the caller).
-    fn invoke_spec_with(
-        &self,
-        stub: &Stub,
-        method: NameId,
-        args: Vec<u8>,
-        one_way: bool,
-        pinned: bool,
-    ) -> ExecSpec {
-        let at = self
-            .state
-            .borrow()
-            .cached_loc
-            .get(&CompKey::object(stub.object))
-            .map(|entry| entry.node)
-            .unwrap_or(stub.at);
-        ExecSpec {
-            class: stub.class,
-            object: Some(stub.object),
-            location_hint: Some(at.as_raw()),
-            expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
-            identity_pinned: pinned,
-            home_hint: stub.home.map(|n| n.as_raw()),
-            backup_hint: self
-                .inner
-                .borrow()
-                .dir
-                .backups
-                .get(&CompKey::object(stub.object))
-                .map(|n| n.as_raw()),
-            action: ActionSpec::InvokeAt { node: at.as_raw() },
-            invoke: Some(InvokeSpec {
-                method,
-                args,
-                one_way,
-            }),
-            guard: false,
-        }
-    }
-
     /// Invokes a typed method through a stub and decodes the result.
     ///
     /// # Errors
@@ -920,8 +827,7 @@ impl Session {
         A: Serialize,
         R: DeserializeOwned,
     {
-        let bytes = self.call_raw(stub, method.name(), mage_codec::to_bytes(args)?)?;
-        mage_codec::from_bytes(&bytes).map_err(MageError::from)
+        self.call_async(stub, method, args)?.wait()
     }
 
     /// Starts a typed invocation without blocking.
@@ -940,50 +846,65 @@ impl Session {
         R: DeserializeOwned,
     {
         let method = self.syms.intern(method.name());
-        let spec = self.invoke_spec(stub, method, mage_codec::to_bytes(args)?, false);
-        let object_key = CompKey::object(stub.object);
-        Ok(self.issue(
-            Command::Execute(spec),
-            Box::new(move |outcome, _dir, state| {
-                state.cached_loc.insert(
-                    object_key,
-                    Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
-                );
-                let bytes = outcome
-                    .result
-                    .ok_or_else(|| MageError::Rmi("invocation returned no result".into()))?;
-                mage_codec::from_bytes(&bytes).map_err(MageError::from)
-            }),
-        ))
+        Ok(self.invoke(stub, method, mage_codec::to_bytes(args)?, true))
     }
 
-    /// Invokes `method` through a stub with pre-marshalled arguments.
+    /// Issues a plain invocation through a stub.
     ///
-    /// # Errors
-    ///
-    /// Propagates invocation faults.
-    pub fn call_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<Vec<u8>, MageError> {
-        self.invoke_through(stub, self.syms.intern(method), args, true)
-    }
-
-    /// Shared blocking-invocation core: runs the invoke ladder with the
-    /// given identity pinning and refreshes the session cache.
-    fn invoke_through(
+    /// Location and identity separate here: the session cache advises
+    /// *where* to send the call (objects move behind a stub's back, §3.5),
+    /// but the *identity* invoked is pinned by the stub itself — a stub
+    /// either reaches the object it was bound to or resolves to
+    /// `StaleIdentity`, even when the session already knows about a
+    /// replacement. Rebinding to the replacement is an explicit act
+    /// ([`Session::rebind`]), never a side effect of a cache refresh.
+    /// Unpinned handles (`pinned == false`) let the engine re-resolve
+    /// identity, so recovery of a replicated object is invisible to the
+    /// caller.
+    fn invoke<R: DeserializeOwned>(
         &self,
         stub: &Stub,
         method: NameId,
         args: Vec<u8>,
         pinned: bool,
-    ) -> Result<Vec<u8>, MageError> {
-        let spec = self.invoke_spec_with(stub, method, args, false, pinned);
-        let outcome = self.command(Command::Execute(spec))?;
-        self.state.borrow_mut().cached_loc.insert(
-            CompKey::object(stub.object),
-            Located::new(NodeId::from_raw(outcome.location), outcome.incarnation),
-        );
-        outcome
-            .result
-            .ok_or_else(|| MageError::Rmi("invocation returned no result".into()))
+    ) -> Pending<R> {
+        let key = CompKey::object(stub.object);
+        let at = self
+            .state
+            .borrow()
+            .cached_loc
+            .get(&key)
+            .map(|entry| entry.node)
+            .unwrap_or(stub.at);
+        let spec = ExecSpec {
+            class: stub.class,
+            object: Some(stub.object),
+            location_hint: Some(at.as_raw()),
+            expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
+            identity_pinned: pinned,
+            home_hint: stub.home.map(|n| n.as_raw()),
+            backup_hint: self
+                .inner
+                .borrow()
+                .dir
+                .backups
+                .get(&key)
+                .map(|n| n.as_raw()),
+            action: ActionSpec::InvokeAt { node: at.as_raw() },
+            invoke: Some(InvokeSpec {
+                method,
+                args,
+                one_way: false,
+            }),
+            guard: false,
+        };
+        self.issue(
+            Command::Execute(spec),
+            Completion::Outcome {
+                located: Some(key),
+                decode: decode_result::<R>,
+            },
+        )
     }
 
     /// Invokes a typed method through an [`ObjectHandle`], applying its
@@ -1018,12 +939,10 @@ impl Session {
         R: DeserializeOwned,
     {
         let method = self.syms.intern(method.name());
-        let first = self.invoke_through(
-            &handle.stub,
-            method,
-            mage_codec::to_bytes(args)?,
-            handle.pinned,
-        );
+        let bytes = mage_codec::to_bytes(args)?;
+        let first = self
+            .invoke(&handle.stub, method, bytes, handle.pinned)
+            .wait();
         let out = match first {
             Err(MageError::StaleIdentity { .. }) if handle.durability.is_replicated() => {
                 let fresh = self.rebind(&handle.stub)?;
@@ -1032,12 +951,13 @@ impl Session {
                 // The rare retry marshals the arguments again rather than
                 // every call keeping a copy for it.
                 let bytes = mage_codec::to_bytes(args)?;
-                self.invoke_through(&handle.stub, method, bytes, handle.pinned)?
+                self.invoke(&handle.stub, method, bytes, handle.pinned)
+                    .wait()?
             }
             other => other?,
         };
         self.refresh_handle(handle);
-        mage_codec::from_bytes(&out).map_err(MageError::from)
+        Ok(out)
     }
 
     /// Updates a handle's stub from the session cache (location always;
@@ -1051,59 +971,6 @@ impl Session {
                 handle.stub.incarnation = entry.incarnation;
             }
         }
-    }
-
-    /// Fire-and-forget invocation through a stub.
-    ///
-    /// # Errors
-    ///
-    /// Propagates marshalling failures and placement errors; delivery of
-    /// the invocation itself is not awaited.
-    pub fn send<A, R>(&self, stub: &Stub, method: Method<A, R>, args: &A) -> Result<(), MageError>
-    where
-        A: Serialize,
-    {
-        self.send_async(stub, method, args)?.wait()
-    }
-
-    /// Starts a fire-and-forget invocation without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates marshalling failures at issue time.
-    pub fn send_async<A, R>(
-        &self,
-        stub: &Stub,
-        method: Method<A, R>,
-        args: &A,
-    ) -> Result<Pending<()>, MageError>
-    where
-        A: Serialize,
-    {
-        self.send_raw_async(stub, method.name(), mage_codec::to_bytes(args)?)
-    }
-
-    /// Fire-and-forget with a dynamic method name and pre-marshalled
-    /// arguments (the untyped escape hatch; prefer [`send`](Session::send)).
-    ///
-    /// # Errors
-    ///
-    /// Propagates placement errors.
-    pub fn send_raw(&self, stub: &Stub, method: &str, args: Vec<u8>) -> Result<(), MageError> {
-        self.send_raw_async(stub, method, args)?.wait()
-    }
-
-    fn send_raw_async(
-        &self,
-        stub: &Stub,
-        method: &str,
-        args: Vec<u8>,
-    ) -> Result<Pending<()>, MageError> {
-        let spec = self.invoke_spec(stub, self.syms.intern(method), args, true);
-        Ok(self.issue(
-            Command::Execute(spec),
-            Box::new(|_outcome, _dir, _state| Ok(())),
-        ))
     }
 
     // ---- locking (§4.4) ----
@@ -1134,11 +1001,14 @@ impl Session {
                 target: target.as_raw(),
                 home_hint,
             },
-            Box::new(|outcome, _dir, _state| {
-                outcome
-                    .lock_kind
-                    .ok_or_else(|| MageError::Rmi("lock reply carried no kind".into()))
-            }),
+            Completion::Outcome {
+                located: None,
+                decode: |outcome| {
+                    outcome
+                        .lock_kind
+                        .ok_or_else(|| MageError::Rmi("lock reply carried no kind".into()))
+                },
+            },
         ))
     }
 
@@ -1148,21 +1018,16 @@ impl Session {
     ///
     /// Fails if the object cannot be located.
     pub fn unlock(&self, name: &str) -> Result<(), MageError> {
-        self.unlock_async(name)?.wait()
-    }
-
-    /// Starts an unlock without blocking.
-    ///
-    /// # Errors
-    ///
-    /// Never fails at issue time today; kept fallible for symmetry.
-    pub fn unlock_async(&self, name: &str) -> Result<Pending<()>, MageError> {
         let name = self.syms.intern(name);
         let home_hint = self.home_hint(name);
-        Ok(self.issue(
+        self.issue(
             Command::Unlock { name, home_hint },
-            Box::new(|_outcome, _dir, _state| Ok(())),
-        ))
+            Completion::Outcome {
+                located: None,
+                decode: |_| Ok(()),
+            },
+        )
+        .wait()
     }
 }
 

@@ -8,8 +8,7 @@
 //! visibility, an optional mobility attribute deciding the *birthplace*,
 //! a [`Durability`] policy deciding what survives a host crash, and
 //! whether stubs derived from the handle pin identity. New policies get
-//! one front door instead of another positional parameter on
-//! `create_object`.
+//! one front door instead of another positional parameter.
 //!
 //! ```
 //! use mage_core::workload_support::{methods, test_object_class};
@@ -230,11 +229,6 @@ impl ObjectHandle {
     /// Borrows the underlying stub (for the stub-level `Session` API).
     pub fn stub(&self) -> &Stub {
         &self.stub
-    }
-
-    /// Unwraps into the underlying stub, dropping the policy knowledge.
-    pub fn into_stub(self) -> Stub {
-        self.stub
     }
 }
 

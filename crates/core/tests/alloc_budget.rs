@@ -5,16 +5,18 @@
 //! A warmed `Session::call` may cost at most three heap allocations per
 //! op more than a raw `mage_rmi::drive_call` round trip carrying the
 //! same arguments: everything above the RMI floor is session and engine
-//! bookkeeping, and it must stay small. And because every per-op table
-//! hashes with a fixed hasher, two same-seed runs allocate exactly the
-//! same number of times.
+//! bookkeeping, and it must stay small. The blocking forms add nothing
+//! on top of the one invoke path: `call_async(..)?.wait()` costs exactly
+//! what `call` costs, and `call_handle` no more. And because every per-op
+//! table hashes with a fixed hasher, two same-seed runs allocate exactly
+//! the same number of times.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mage_core::attribute::Rpc;
 use mage_core::workload_support::{methods, test_object_class};
-use mage_core::{ObjectSpec, Pending, Runtime};
+use mage_core::{Durability, ObjectHandle, ObjectSpec, Pending, Runtime};
 use mage_rmi::{client_endpoint, drive_call, server_endpoint, Config, ObjectEnv};
 use mage_sim::{LinkSpec, Network, World};
 
@@ -124,6 +126,53 @@ fn session_call_stays_within_three_allocs_of_raw_rmi() {
     assert!(
         session <= rmi + BUDGET_OVER_RMI,
         "session.call costs {session} allocs/op, raw RMI {rmi}: more than {BUDGET_OVER_RMI} over"
+    );
+}
+
+/// Allocations per op of `op` over the measured window.
+fn allocs_per_op(mut op: impl FnMut()) -> f64 {
+    let n = allocs_during(|| {
+        for _ in 0..MEASURED {
+            op();
+        }
+    });
+    n as f64 / MEASURED as f64
+}
+
+#[test]
+fn blocking_forms_cost_no_more_than_the_async_path() {
+    let (_rt, c, stub) = rig(1);
+    let mut handle = ObjectHandle::new(stub.clone(), Durability::Volatile, true);
+    let call = || {
+        c.call(&stub, methods::INC, &()).unwrap();
+    };
+    let async_wait = || {
+        c.call_async(&stub, methods::INC, &())
+            .unwrap()
+            .wait()
+            .unwrap();
+    };
+    let mut call_handle = || {
+        c.call_handle(&mut handle, methods::INC, &()).unwrap();
+    };
+    // Warm every form first, long enough that the runtime's tables have
+    // stopped growing (about a thousand calls), so no growth lands inside
+    // a measured window.
+    for _ in 0..MEASURED {
+        call();
+        async_wait();
+        call_handle();
+    }
+    let call = allocs_per_op(call);
+    let async_wait = allocs_per_op(async_wait);
+    let call_handle = allocs_per_op(call_handle);
+    assert_eq!(
+        async_wait, call,
+        "call_async(..)?.wait() costs {async_wait} allocs/op, call {call}"
+    );
+    assert!(
+        call_handle <= call,
+        "call_handle costs {call_handle} allocs/op, call {call}"
     );
 }
 

@@ -125,7 +125,7 @@ fn volatile_objects_still_die_with_their_host() {
     let c = rt.session("c").unwrap();
     let stub = handle.stub().clone();
     rt.crash("a").unwrap();
-    let err = c.call_raw(&stub, "inc", Vec::new()).unwrap_err();
+    let err = c.call(&stub, methods::INC, &()).unwrap_err();
     assert!(
         matches!(err, MageError::NotFound(_) | MageError::Unreachable { .. }),
         "volatile object must not be restored: {err:?}"

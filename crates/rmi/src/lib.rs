@@ -64,5 +64,5 @@ pub use driver::{client_endpoint, drive_call, server_endpoint, DriverClient, Dri
 pub use endpoint::{App, CallOutcome, Config, Endpoint, Env, InboundCall, ReplyHandle, ServerOnly};
 pub use error::{Fault, RmiError};
 pub use object::{ObjectEnv, RemoteObject};
-pub use stub::{decode_result, encode_args, RemoteRef};
+pub use stub::{decode_result, encode_args};
 pub use symbols::{IntoName, NameId, SymbolTable};

@@ -1,54 +1,6 @@
-//! Client-side references to remote objects.
+//! Typed marshalling of call arguments and results.
 
-use std::fmt;
-
-use mage_sim::NodeId;
-use serde::{Deserialize, Serialize};
-
-/// A location-addressed reference to a remote object: the Rust analogue of
-/// an RMI stub.
-///
-/// A `RemoteRef` names an object *at a node*; MAGE's mobility layer keeps
-/// these up to date as objects move (the registry's forwarding chains).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct RemoteRef {
-    node: u32,
-    name: String,
-}
-
-impl RemoteRef {
-    /// Creates a reference to `name` hosted at `node`.
-    pub fn new(node: NodeId, name: impl Into<String>) -> Self {
-        RemoteRef {
-            node: node.as_raw(),
-            name: name.into(),
-        }
-    }
-
-    /// The node currently believed to host the object.
-    pub fn node(&self) -> NodeId {
-        NodeId::from_raw(self.node)
-    }
-
-    /// The name the object is bound under.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Returns a copy pointing at a different node (after a migration).
-    pub fn moved_to(&self, node: NodeId) -> RemoteRef {
-        RemoteRef {
-            node: node.as_raw(),
-            name: self.name.clone(),
-        }
-    }
-}
-
-impl fmt::Display for RemoteRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@n{}", self.name, self.node)
-    }
-}
+use serde::Serialize;
 
 /// Encodes typed arguments for a call.
 ///
@@ -73,30 +25,6 @@ pub fn decode_result<T: serde::de::DeserializeOwned>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn remote_ref_accessors_and_display() {
-        let r = RemoteRef::new(NodeId::from_raw(2), "geoData");
-        assert_eq!(r.node(), NodeId::from_raw(2));
-        assert_eq!(r.name(), "geoData");
-        assert_eq!(r.to_string(), "geoData@n2");
-    }
-
-    #[test]
-    fn moved_to_rewrites_node_only() {
-        let r = RemoteRef::new(NodeId::from_raw(0), "x");
-        let moved = r.moved_to(NodeId::from_raw(9));
-        assert_eq!(moved.node(), NodeId::from_raw(9));
-        assert_eq!(moved.name(), "x");
-        assert_eq!(r.node(), NodeId::from_raw(0), "original unchanged");
-    }
-
-    #[test]
-    fn refs_serialize() {
-        let r = RemoteRef::new(NodeId::from_raw(1), "o");
-        let bytes = mage_codec::to_bytes(&r).unwrap();
-        assert_eq!(mage_codec::from_bytes::<RemoteRef>(&bytes).unwrap(), r);
-    }
 
     #[test]
     fn typed_arg_helpers_roundtrip() {

@@ -1,10 +1,10 @@
 //! Property tests of the v2 wire format: round-trips over arbitrary
 //! messages (interned ids, first-use string shipment, epochs, payloads),
-//! clean rejection of truncated/hostile frames, version rejection of the
-//! epoch-less v2 header, and v1/v2 cross-rejection.
+//! clean rejection of truncated/hostile frames, and rejection of frames
+//! with a foreign leading byte.
 
 use bytes::Bytes;
-use mage_rmi::wire::{Message, NameRef, WireMsg, MAGIC_V2, MAGIC_V2_EPOCH};
+use mage_rmi::wire::{NameRef, WireMsg, MAGIC_V2_EPOCH};
 use mage_rmi::{Fault, NameId};
 use proptest::prelude::*;
 
@@ -140,48 +140,37 @@ proptest! {
         let _ = WireMsg::decode(&Bytes::from(frame));
     }
 
-    /// A frame with the epoch-less v2 magic byte is rejected with a
-    /// *version* error, whatever its body claims to contain.
+    /// A frame whose leading byte is not [`MAGIC_V2_EPOCH`] is rejected
+    /// with an error, never a panic, even when the rest of it is a
+    /// well-formed message. The retired formats' leading bytes — v1's
+    /// variant indices `0x00`/`0x01` and the epoch-less v2 header `0xA2` —
+    /// are checked on every case, next to an arbitrary foreign byte.
     #[test]
-    fn prop_old_v2_header_is_rejected_by_version(
-        mut body in proptest::collection::vec(any::<u8>(), 0..96),
-    ) {
-        if body.is_empty() {
-            body.push(0);
-        }
-        body[0] = MAGIC_V2;
-        let err = WireMsg::decode(&Bytes::from(body))
-            .expect_err("epoch-less v2 header must be rejected");
-        prop_assert!(
-            err.to_string().contains("unsupported wire version"),
-            "want a version error, got: {}",
-            err
-        );
-    }
-
-    /// The v1 serde decoder rejects every v2 frame with a clean error
-    /// (the magic byte is far outside v1's variant space), and the v2
-    /// decoder rejects v1 frames symmetrically.
-    #[test]
-    fn prop_v1_and_v2_reject_each_other(
+    fn prop_foreign_leading_byte_is_rejected(
+        lead in any::<u8>(),
         call_id in any::<u64>(),
         sender_epoch in any::<u64>(),
-        object in any::<String>(),
-        method in any::<String>(),
+        object_name in any::<Option<String>>(),
         args in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let v2 = WireMsg::CallReq {
+        let mut frame = WireMsg::CallReq {
             call_id,
             sender_epoch,
-            object: NameRef::first_use(NameId::from_raw(0), &object),
-            method: NameRef::first_use(NameId::from_raw(1), &method),
-            args: Bytes::from(args.clone()),
+            object: name_ref(0, object_name),
+            method: NameRef::id(NameId::from_raw(1)),
+            args: Bytes::from(args),
         }
-        .encode();
-        prop_assert!(Message::decode(&v2).is_err(), "v1 must reject v2 frames");
-
-        let v1 = Message::CallReq { call_id, object, method, args }.encode();
-        prop_assert!(WireMsg::decode(&v1).is_err(), "v2 must reject v1 frames");
+        .encode()
+        .to_vec();
+        let foreign = [0x00, 0x01, 0xA2, lead].into_iter();
+        for lead in foreign.filter(|b| *b != MAGIC_V2_EPOCH) {
+            frame[0] = lead;
+            prop_assert!(
+                WireMsg::decode(&Bytes::from(frame.clone())).is_err(),
+                "leading byte {:#04x} must be rejected",
+                lead
+            );
+        }
     }
 }
 
