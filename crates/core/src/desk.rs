@@ -2,7 +2,7 @@
 //! delivers the driver event that carries their op id.
 //!
 //! The driver ([`Session`](crate::Session) and the runtime's admin calls)
-//! and every [`MageNode`](crate::MageNode) live in one process, so a
+//! and every [`MageNode`](crate::node::MageNode) live in one process, so a
 //! command never needs to be encoded to reach its node. Issuing parks the
 //! typed [`Command`] here and injects one driver event holding only the
 //! op id — the event still goes through the world's queue, so when a

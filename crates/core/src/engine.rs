@@ -11,6 +11,14 @@
 //!   moves and autonomous mobile-agent hops
 //! * forwarded finds — the registry's chain-walking with path compression
 //!
+//! The exec, lock and unlock engines ask `MageNode::locate` where a
+//! component is: the single locate step, which answers from this node's
+//! own copy, the registry or the caller's hint, or else starts a find walk
+//! from the component's home. (A driver find always walks the chain: for
+//! it the registry is the start, not the answer.) Find, move and restore
+//! replies are recorded through `MageNode::learn`, and class pushes go
+//! through `class_args` and `push_class`, each written once.
+//!
 //! Tasks carry interned [`NameId`]s / [`CompKey`]s; strings are resolved
 //! only on error paths.
 
@@ -56,10 +64,12 @@ pub(crate) enum Task {
     Checkpoint(CheckpointTask),
 }
 
-/// Whether a checkpoint task awaits the snapshot ack or an interposed
-/// class push (the backup must hold the class to be able to restore).
-pub(crate) enum CkptPhase {
-    SentCheckpoint { retried_class: bool },
+/// Whether a shipping task (a checkpoint or a move-out) awaits the ack of
+/// its payload or of an interposed class push: the receiver must hold the
+/// class to reify (or later restore) the object.
+#[derive(Clone, Copy)]
+pub(crate) enum ShipPhase {
+    SentPayload { retried_class: bool },
     SentClass,
 }
 
@@ -67,14 +77,14 @@ pub(crate) struct CheckpointTask {
     pub name: NameId,
     pub dest: NodeId,
     pub args: proto::CheckpointArgs,
-    pub phase: CkptPhase,
+    pub phase: ShipPhase,
 }
 
 pub(crate) struct ClientLockTask {
     pub op: OpId,
     pub name: NameId,
     pub target: NodeId,
-    pub home_hint: Option<NodeId>,
+    pub home_hint: Option<u32>,
     pub phase: LocatePhase,
     pub retries: u8,
     /// Incarnation the lock expects to apply to (learned from the find or
@@ -86,7 +96,6 @@ pub(crate) struct ClientLockTask {
 pub(crate) struct ClientUnlockTask {
     pub op: OpId,
     pub name: NameId,
-    pub home_hint: Option<NodeId>,
     pub phase: LocatePhase,
 }
 
@@ -106,16 +115,11 @@ pub(crate) enum MoveOrigin {
     Autonomous,
 }
 
-pub(crate) enum MovePhase {
-    SentReceive { retried_class: bool },
-    SentClass,
-}
-
 pub(crate) struct MoveOutTask {
     pub name: NameId,
     pub dest: NodeId,
     pub origin: MoveOrigin,
-    pub phase: MovePhase,
+    pub phase: ShipPhase,
     pub receive_args: proto::ReceiveArgs,
     /// Waiters removed from the lock queue at pack time. Bounced after the
     /// move commits (so their re-find sees the forwarding address) or
@@ -132,6 +136,7 @@ pub(crate) enum Resume {
 }
 
 #[allow(clippy::enum_variant_names)] // every phase awaits a reply; the prefix is the point
+#[derive(Clone, Copy)]
 pub(crate) enum ExecPhase {
     AwaitFind {
         resume: Resume,
@@ -153,11 +158,9 @@ pub(crate) enum ExecPhase {
     AwaitInvoke,
     AwaitUnlock,
     /// Consulting the backup home of a replicated object after a
-    /// `NotFound`/`Unreachable` outcome; `original` is the error that
-    /// surfaces if no restore is possible.
-    AwaitRestore {
-        original: MageError,
-    },
+    /// `NotFound`/`Unreachable` outcome; the task's `failure` holds the
+    /// error that surfaces if no restore is possible.
+    AwaitRestore,
 }
 
 pub(crate) struct ExecTask {
@@ -173,13 +176,15 @@ pub(crate) struct ExecTask {
     pub invoke_at: Option<NodeId>,
     pub result: Option<Vec<u8>>,
     pub retries: u8,
+    /// The error this task surfaces unless it recovers: set while the lock
+    /// is released after a failure, or while the backup is consulted.
     pub failure: Option<MageError>,
     /// Whether the once-only backup consultation has been spent (the
     /// durability mirror of the find walk's once-only home retry).
     pub restore_tried: bool,
 }
 
-fn rmi_error_to_mage(err: &RmiError) -> MageError {
+pub(crate) fn rmi_error_to_mage(err: &RmiError) -> MageError {
     match err {
         RmiError::Fault(fault) => proto::fault_to_error(fault),
         RmiError::PeerUnreachable { peer, .. } => MageError::Unreachable {
@@ -208,11 +213,37 @@ fn error_to_fault(err: &MageError) -> Fault {
     }
 }
 
-fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
+pub(crate) fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
     mage_codec::from_bytes(bytes).map_err(MageError::from)
 }
 
 impl MageNode {
+    /// Starts a find walk for `key` at `start`, this node being the first
+    /// hop visited; the reply goes to `token`.
+    fn send_find(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        start: NodeId,
+        key: CompKey,
+        home: Option<u32>,
+        retried: bool,
+        token: u64,
+    ) {
+        let args = proto::FindArgs {
+            key,
+            visited: vec![env.node().as_raw()],
+            home,
+            retried,
+        };
+        env.call(
+            start,
+            self.ids.service,
+            self.ids.find,
+            mage_codec::to_bytes(&args).expect("find args encode"),
+            token,
+        );
+    }
+
     /// Issues the once-only home retry of a find walk that dead-ended: a
     /// fresh walk from `home` with the visited set reset, parking the
     /// task built by `make_task` under a new token. Returns `false`
@@ -230,20 +261,80 @@ impl MageNode {
             return false;
         };
         let token = self.spawn_task(make_task());
-        let args = proto::FindArgs {
-            key,
-            visited: vec![me.as_raw()],
-            home,
-            retried: true,
-        };
+        self.send_find(env, h, key, home, true, token);
+        true
+    }
+
+    /// The locate step, the only one: where `key` is, and which
+    /// incarnation that knowledge vouches for, without a network call if
+    /// possible.
+    ///
+    /// Consults, in order, this node's own copy, the registry, the
+    /// caller's `hint` and finally the `home` node. Returns
+    /// `Ok(Some(loc))` when known (possibly this node), `Ok(None)` after
+    /// sending a find walk whose reply goes to `token` (the caller parks
+    /// its task), or `NotFound` when there is nowhere left to ask.
+    pub(crate) fn locate(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        key: CompKey,
+        hint: Option<Located>,
+        home: Option<u32>,
+        token: u64,
+    ) -> Result<Option<Located>, MageError> {
+        let me = env.node();
+        if self.has_component(key) {
+            return Ok(Some(Located::new(me, self.local_incarnation(key))));
+        }
+        let known = self.registry.lookup(key).filter(|l| l.node != me);
+        if let Some(loc) = known.or(hint.filter(|l| l.node != me)) {
+            return Ok(Some(loc));
+        }
+        match home.map(NodeId::from_raw).filter(|h| *h != me) {
+            Some(start) => {
+                self.send_find(env, start, key, home, false, token);
+                Ok(None)
+            }
+            None => Err(MageError::NotFound(key.display(&self.syms))),
+        }
+    }
+
+    /// Records what a find-shaped reply (a find, a move or a restore)
+    /// taught this node about `key` — path compression (§4.1) — and
+    /// returns it as location knowledge.
+    pub(crate) fn learn(&mut self, key: CompKey, found: &FindReply) -> Located {
+        let loc = Located::new(NodeId::from_raw(found.location), found.incarnation);
+        self.registry.update(key, loc);
+        loc
+    }
+
+    /// The class-transfer payload for `class`, or `None` when the world's
+    /// library does not define it.
+    pub(crate) fn class_args(&self, class: NameId) -> Option<proto::ReceiveClassArgs> {
+        let def = self.lib.get(&self.syms.resolve_lossy(class))?;
+        Some(proto::ReceiveClassArgs {
+            class,
+            code: vec![0u8; def.code_size() as usize],
+            has_static_fields: def.has_static_fields(),
+        })
+    }
+
+    /// Pushes a class to `dest` ahead of a payload that needs it; the ack
+    /// goes to `token`.
+    pub(crate) fn push_class(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        dest: NodeId,
+        args: &proto::ReceiveClassArgs,
+        token: u64,
+    ) {
         env.call(
-            h,
+            dest,
             self.ids.service,
-            self.ids.find,
-            mage_codec::to_bytes(&args).expect("find args encode"),
+            self.ids.receive_class,
+            mage_codec::to_bytes(args).expect("class args encode"),
             token,
         );
-        true
     }
 
     /// Routes an RMI reply to the task that issued the call.
@@ -270,12 +361,7 @@ impl MageNode {
                 match result {
                     Ok(bytes) => match decode::<FindReply>(&bytes) {
                         Ok(found) => {
-                            // Path compression: remember the final location
-                            // and incarnation, collapsing the chain (§4.1).
-                            self.registry.update(
-                                key,
-                                Located::new(NodeId::from_raw(found.location), found.incarnation),
-                            );
+                            self.learn(key, &found);
                             // Forward the payload straight out of the
                             // received frame — no copy.
                             env.reply_with(reply, Ok(&bytes));
@@ -322,10 +408,7 @@ impl MageNode {
             } => match result {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
-                        self.registry.update(
-                            key,
-                            Located::new(NodeId::from_raw(found.location), found.incarnation),
-                        );
+                        self.learn(key, &found);
                         self.complete(
                             env,
                             op,
@@ -378,117 +461,55 @@ impl MageNode {
         mut task: CheckpointTask,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            CkptPhase::SentCheckpoint { retried_class } => match result {
-                Ok(_) => {} // stored, or refused as stale; either way done
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    let class_name = self.syms.resolve_lossy(task.args.class);
-                    let Some(def) = self.lib.get(&class_name) else {
-                        env.note(format!(
-                            "checkpoint of {} dropped: class {class_name} undefined",
-                            self.name_str(task.name)
-                        ));
-                        return;
-                    };
-                    let class_args = proto::ReceiveClassArgs {
-                        class: task.args.class,
-                        code: vec![0u8; def.code_size() as usize],
-                        has_static_fields: def.has_static_fields(),
-                    };
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive_class,
-                        mage_codec::to_bytes(&class_args).expect("class args encode"),
-                        token,
-                    );
-                    task.phase = CkptPhase::SentClass;
-                    self.tasks.insert(token, Task::Checkpoint(task));
-                }
-                Err(e) => {
-                    if env.trace_enabled() {
-                        env.note(format!(
+        match (task.phase, result) {
+            // Stored, or refused as stale; either way done.
+            (ShipPhase::SentPayload { .. }, Ok(_)) => {}
+            (
+                ShipPhase::SentPayload {
+                    retried_class: false,
+                },
+                Err(RmiError::Fault(Fault::ClassMissing(_))),
+            ) => {
+                let Some(class_args) = self.class_args(task.args.class) else {
+                    env.note(format!(
+                        "checkpoint of {} dropped: class {} undefined",
+                        self.name_str(task.name),
+                        self.syms.resolve_lossy(task.args.class)
+                    ));
+                    return;
+                };
+                self.push_class(env, task.dest, &class_args, token);
+                task.phase = ShipPhase::SentClass;
+                self.tasks.insert(token, Task::Checkpoint(task));
+            }
+            (ShipPhase::SentClass, Ok(_)) => {
+                env.call(
+                    task.dest,
+                    self.ids.service,
+                    self.ids.checkpoint,
+                    mage_codec::to_bytes(&task.args).expect("checkpoint args encode"),
+                    token,
+                );
+                task.phase = ShipPhase::SentPayload {
+                    retried_class: true,
+                };
+                self.tasks.insert(token, Task::Checkpoint(task));
+            }
+            (phase, Err(e)) => {
+                if env.trace_enabled() {
+                    let note = match phase {
+                        ShipPhase::SentPayload { .. } => format!(
                             "checkpoint of {} to {} dropped: {e}",
                             self.name_str(task.name),
                             task.dest
-                        ));
-                    }
-                }
-            },
-            CkptPhase::SentClass => match result {
-                Ok(_) => {
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.checkpoint,
-                        mage_codec::to_bytes(&task.args).expect("checkpoint args encode"),
-                        token,
-                    );
-                    task.phase = CkptPhase::SentCheckpoint {
-                        retried_class: true,
+                        ),
+                        ShipPhase::SentClass => {
+                            format!("checkpoint class push to {} dropped: {e}", task.dest)
+                        }
                     };
-                    self.tasks.insert(token, Task::Checkpoint(task));
+                    env.note(note);
                 }
-                Err(e) => {
-                    if env.trace_enabled() {
-                        env.note(format!(
-                            "checkpoint class push to {} dropped: {e}",
-                            task.dest
-                        ));
-                    }
-                }
-            },
-        }
-    }
-
-    // ---- locate helper ----
-
-    /// Tries to determine where `key` is without a network call.
-    ///
-    /// Returns `Ok(Some(loc))` when known (possibly this node), `Ok(None)`
-    /// after issuing a find with `token` (the caller parks its task), or an
-    /// error when the component cannot be located at all.
-    fn locate_step(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        key: CompKey,
-        location_hint: Option<NodeId>,
-        home_hint: Option<NodeId>,
-        token: u64,
-    ) -> Result<Option<NodeId>, MageError> {
-        let me = env.node();
-        if self.has_component(key) {
-            return Ok(Some(me));
-        }
-        if let Some(entry) = self.registry.lookup(key) {
-            if entry.node != me {
-                return Ok(Some(entry.node));
             }
-        }
-        if let Some(hint) = location_hint {
-            if hint != me {
-                return Ok(Some(hint));
-            }
-        }
-        let start = home_hint.filter(|h| *h != me);
-        match start {
-            Some(start) => {
-                let args = proto::FindArgs {
-                    key,
-                    visited: vec![me.as_raw()],
-                    home: home_hint.map(|h| h.as_raw()),
-                    retried: false,
-                };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    token,
-                );
-                Ok(None)
-            }
-            None => Err(MageError::NotFound(key.display(&self.syms))),
         }
     }
 
@@ -543,19 +564,7 @@ impl MageNode {
             Some(start) => {
                 let token = self.next_task;
                 self.next_task += 1;
-                let args = proto::FindArgs {
-                    key,
-                    visited: vec![me.as_raw()],
-                    home: home_hint,
-                    retried: false,
-                };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    token,
-                );
+                self.send_find(env, start, key, home_hint, false, token);
                 self.tasks.insert(
                     token,
                     Task::ClientFind {
@@ -586,48 +595,48 @@ impl MageNode {
         env.charge(self.config.bind_overhead);
         let token = self.next_task;
         self.next_task += 1;
-        let mut task = ClientLockTask {
+        let task = ClientLockTask {
             op,
             name,
             target: NodeId::from_raw(target),
-            home_hint: home_hint.map(NodeId::from_raw),
+            home_hint,
             phase: LocatePhase::Finding,
             retries: self.config.race_retries,
             expected: None,
         };
-        match self.locate_step(env, CompKey::object(name), None, task.home_hint, token) {
-            Ok(Some(loc)) => {
-                // Identity rides with location knowledge: whatever told us
-                // where the object is also told us which incarnation.
-                task.expected = self.known_incarnation(CompKey::object(name), loc);
-                self.issue_lock_call(env, task.name, task.target, loc, task.expected, token);
-                task.phase = LocatePhase::Calling;
-                self.tasks.insert(token, Task::ClientLock(task));
-            }
+        self.client_lock_locate(env, token, task);
+    }
+
+    /// Locates the object of a name-keyed lock request, then locks it (or
+    /// parks the task on the find).
+    fn client_lock_locate(&mut self, env: &mut Env<'_, '_>, token: u64, task: ClientLockTask) {
+        let key = CompKey::object(task.name);
+        match self.locate(env, key, None, task.home_hint, token) {
+            Ok(Some(loc)) => self.client_lock_call(env, token, task, loc),
             Ok(None) => {
                 self.tasks.insert(token, Task::ClientLock(task));
             }
-            Err(e) => self.complete(env, op, Err(e)),
+            Err(e) => self.complete(env, task.op, Err(e)),
         }
     }
 
-    /// The incarnation this node believes lives at `loc` for `key`: its
-    /// own hosted object when local, else the registry entry (if it agrees
-    /// on the node). `None` when nothing identity-bearing is known.
-    fn known_incarnation(&self, key: CompKey, loc: NodeId) -> Option<Incarnation> {
-        let inc = if self.has_component(key) {
-            self.local_incarnation(key)
-        } else {
-            self.registry
-                .lookup(key)
-                .filter(|entry| entry.node == loc)
-                .map(|entry| entry.incarnation)
-                .unwrap_or(Incarnation::NONE)
-        };
-        Some(inc).filter(|inc| !inc.is_none())
+    /// Sends the lock request to where the object was located. Identity
+    /// rides with location knowledge: whatever told us where the object
+    /// is also told us which incarnation the lock applies to.
+    fn client_lock_call(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        token: u64,
+        mut task: ClientLockTask,
+        loc: Located,
+    ) {
+        task.expected = Some(loc.incarnation).filter(|inc| !inc.is_none());
+        self.issue_lock_call(env, task.name, task.target, loc.node, task.expected, token);
+        task.phase = LocatePhase::Calling;
+        self.tasks.insert(token, Task::ClientLock(task));
     }
 
-    fn issue_lock_call(
+    pub(crate) fn issue_lock_call(
         &mut self,
         env: &mut Env<'_, '_>,
         name: NameId,
@@ -662,22 +671,8 @@ impl MageNode {
             LocatePhase::Finding => match result {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        self.registry.update(
-                            CompKey::object(task.name),
-                            Located::new(loc, found.incarnation),
-                        );
-                        task.expected = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        self.issue_lock_call(
-                            env,
-                            task.name,
-                            task.target,
-                            loc,
-                            task.expected,
-                            token,
-                        );
-                        task.phase = LocatePhase::Calling;
-                        self.tasks.insert(token, Task::ClientLock(task));
+                        let loc = self.learn(CompKey::object(task.name), &found);
+                        self.client_lock_call(env, token, task, loc);
                     }
                     Err(e) => self.complete(env, task.op, Err(e)),
                 },
@@ -709,31 +704,7 @@ impl MageNode {
                     task.phase = LocatePhase::Finding;
                     task.expected = None;
                     self.registry.remove(CompKey::object(task.name));
-                    match self.locate_step(
-                        env,
-                        CompKey::object(task.name),
-                        None,
-                        task.home_hint,
-                        token,
-                    ) {
-                        Ok(Some(loc)) => {
-                            task.expected = self.known_incarnation(CompKey::object(task.name), loc);
-                            self.issue_lock_call(
-                                env,
-                                task.name,
-                                task.target,
-                                loc,
-                                task.expected,
-                                token,
-                            );
-                            task.phase = LocatePhase::Calling;
-                            self.tasks.insert(token, Task::ClientLock(task));
-                        }
-                        Ok(None) => {
-                            self.tasks.insert(token, Task::ClientLock(task));
-                        }
-                        Err(e) => self.complete(env, task.op, Err(e)),
-                    }
+                    self.client_lock_locate(env, token, task);
                 }
                 Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
             },
@@ -750,18 +721,13 @@ impl MageNode {
         env.charge(self.config.bind_overhead);
         let token = self.next_task;
         self.next_task += 1;
-        let mut task = ClientUnlockTask {
+        let task = ClientUnlockTask {
             op,
             name,
-            home_hint: home_hint.map(NodeId::from_raw),
             phase: LocatePhase::Finding,
         };
-        match self.locate_step(env, CompKey::object(name), None, task.home_hint, token) {
-            Ok(Some(loc)) => {
-                self.issue_unlock_call(env, task.name, loc, token);
-                task.phase = LocatePhase::Calling;
-                self.tasks.insert(token, Task::ClientUnlock(task));
-            }
+        match self.locate(env, CompKey::object(name), None, home_hint, token) {
+            Ok(Some(loc)) => self.client_unlock_call(env, token, task, loc.node),
             Ok(None) => {
                 self.tasks.insert(token, Task::ClientUnlock(task));
             }
@@ -769,9 +735,15 @@ impl MageNode {
         }
     }
 
-    fn issue_unlock_call(&mut self, env: &mut Env<'_, '_>, name: NameId, at: NodeId, token: u64) {
+    fn client_unlock_call(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        token: u64,
+        mut task: ClientUnlockTask,
+        at: NodeId,
+    ) {
         let args = proto::UnlockArgs {
-            name,
+            name: task.name,
             client: env.node().as_raw(),
         };
         env.call(
@@ -781,27 +753,23 @@ impl MageNode {
             mage_codec::to_bytes(&args).expect("unlock args encode"),
             token,
         );
+        task.phase = LocatePhase::Calling;
+        self.tasks.insert(token, Task::ClientUnlock(task));
     }
 
     fn step_client_unlock(
         &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
-        mut task: ClientUnlockTask,
+        task: ClientUnlockTask,
         result: Result<Bytes, RmiError>,
     ) {
         match task.phase {
             LocatePhase::Finding => match result {
                 Ok(bytes) => match decode::<FindReply>(&bytes) {
                     Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        self.registry.update(
-                            CompKey::object(task.name),
-                            Located::new(loc, found.incarnation),
-                        );
-                        self.issue_unlock_call(env, task.name, loc, token);
-                        task.phase = LocatePhase::Calling;
-                        self.tasks.insert(token, Task::ClientUnlock(task));
+                        let loc = self.learn(CompKey::object(task.name), &found);
+                        self.client_unlock_call(env, token, task, loc.node);
                     }
                     Err(e) => self.complete(env, task.op, Err(e)),
                 },
@@ -888,7 +856,7 @@ impl MageNode {
                 name,
                 dest,
                 origin,
-                phase: MovePhase::SentReceive {
+                phase: ShipPhase::SentPayload {
                     retried_class: false,
                 },
                 receive_args,
@@ -904,68 +872,50 @@ impl MageNode {
         mut task: MoveOutTask,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            MovePhase::SentReceive { retried_class } => match result {
-                Ok(_) => {
-                    // Transfer acknowledged: drop the local copy and leave a
-                    // forwarding address (§4.1) carrying the incarnation —
-                    // a move is the same identity at a new home.
-                    self.objects.remove(&task.name);
-                    self.registry.update(
-                        CompKey::object(task.name),
-                        Located::new(task.dest, task.receive_args.incarnation),
-                    );
-                    self.finish_move_ok(env, task);
-                }
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    let class_name = self.syms.resolve_lossy(task.receive_args.class);
-                    let Some(def) = self.lib.get(&class_name) else {
-                        self.abort_move(
-                            env,
-                            task,
-                            MageError::ClassUnavailable("unknown class".into()),
-                        );
-                        return;
-                    };
-                    let class_args = proto::ReceiveClassArgs {
-                        class: task.receive_args.class,
-                        code: vec![0u8; def.code_size() as usize],
-                        has_static_fields: def.has_static_fields(),
-                    };
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive_class,
-                        mage_codec::to_bytes(&class_args).expect("class args encode"),
-                        token,
-                    );
-                    task.phase = MovePhase::SentClass;
-                    self.tasks.insert(token, Task::MoveOut(task));
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
+        match (task.phase, result) {
+            (ShipPhase::SentPayload { .. }, Ok(_)) => {
+                // Transfer acknowledged: drop the local copy and leave a
+                // forwarding address (§4.1) carrying the incarnation — a
+                // move is the same identity at a new home.
+                self.objects.remove(&task.name);
+                self.registry.update(
+                    CompKey::object(task.name),
+                    Located::new(task.dest, task.receive_args.incarnation),
+                );
+                self.finish_move_ok(env, task);
+            }
+            (
+                ShipPhase::SentPayload {
+                    retried_class: false,
+                },
+                Err(RmiError::Fault(Fault::ClassMissing(_))),
+            ) => {
+                let Some(class_args) = self.class_args(task.receive_args.class) else {
+                    let err = MageError::ClassUnavailable("unknown class".into());
                     self.abort_move(env, task, err);
-                }
-            },
-            MovePhase::SentClass => match result {
-                Ok(_) => {
-                    env.call(
-                        task.dest,
-                        self.ids.service,
-                        self.ids.receive,
-                        mage_codec::to_bytes(&task.receive_args).expect("receive args encode"),
-                        token,
-                    );
-                    task.phase = MovePhase::SentReceive {
-                        retried_class: true,
-                    };
-                    self.tasks.insert(token, Task::MoveOut(task));
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.abort_move(env, task, err);
-                }
-            },
+                    return;
+                };
+                self.push_class(env, task.dest, &class_args, token);
+                task.phase = ShipPhase::SentClass;
+                self.tasks.insert(token, Task::MoveOut(task));
+            }
+            (ShipPhase::SentClass, Ok(_)) => {
+                env.call(
+                    task.dest,
+                    self.ids.service,
+                    self.ids.receive,
+                    mage_codec::to_bytes(&task.receive_args).expect("receive args encode"),
+                    token,
+                );
+                task.phase = ShipPhase::SentPayload {
+                    retried_class: true,
+                };
+                self.tasks.insert(token, Task::MoveOut(task));
+            }
+            (_, Err(e)) => {
+                let err = rmi_error_to_mage(&e);
+                self.abort_move(env, task, err);
+            }
         }
     }
 

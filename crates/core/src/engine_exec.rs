@@ -6,27 +6,36 @@
 //! (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or an
 //! instantiation from the class (traditional REV/COD factories), with class
 //! transfer slipped in on demand.
+//!
+//! # Recovery
+//!
+//! A failed step climbs one ladder, each rung written once:
+//!
+//! 1. **Re-resolve.** One retry table (`ExecTask::retry_point`) maps the
+//!    phase that failed and its error to the step to resume at. One
+//!    transition (`exec_retry`) spends a unit of the per-op
+//!    `race_retries` budget, forgets the stale location knowledge and
+//!    locates the object again through the node's single locate step,
+//!    whose find walks carry their own once-only retry from the home node.
+//! 2. **Restore.** A crash-shaped failure (`NotFound`/`Unreachable`) of a
+//!    replicated object earns one consultation of its backup home
+//!    (`exec_try_restore`); a stored snapshot brings the object back under
+//!    a fresh incarnation and the task resumes against it.
+//! 3. **Typed terminal error.** Anything else, or a spent budget, surfaces
+//!    as a typed [`MageError`] once the lock (if held) is released.
 
 use bytes::Bytes;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
-use crate::engine::{is_unreachable, ExecPhase, ExecTask, MoveOrigin, Resume, Task};
+use crate::engine::{
+    decode, is_unreachable, rmi_error_to_mage, ExecPhase, ExecTask, MoveOrigin, Resume, Task,
+};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::MageNode;
 use crate::proto::{self, ActionSpec, FindReply, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
-
-fn rmi_error_to_mage(err: &RmiError) -> MageError {
-    match err {
-        RmiError::Fault(fault) => proto::fault_to_error(fault),
-        RmiError::PeerUnreachable { peer, .. } => MageError::Unreachable {
-            peer: peer.as_raw(),
-        },
-        other => MageError::Rmi(other.to_string()),
-    }
-}
 
 /// Whether a failed step is worth re-finding the object over: either the
 /// object moved out from under us (`NotBound` race) or the host we spoke
@@ -43,10 +52,6 @@ fn rebindable_identity(spec: &proto::ExecSpec, err: &RmiError) -> bool {
     !spec.identity_pinned && matches!(err, RmiError::Fault(Fault::StaleIdentity { .. }))
 }
 
-fn decode<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T, MageError> {
-    mage_codec::from_bytes(bytes).map_err(MageError::from)
-}
-
 impl ExecTask {
     /// The computation target this plan locks against (the `T` carried by a
     /// lock request in Figure 8).
@@ -57,6 +62,33 @@ impl ExecTask {
             ActionSpec::Local => me,
             ActionSpec::MoveTo { node } => NodeId::from_raw(*node),
             ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
+        }
+    }
+
+    /// The retry table: where the ladder resumes when the step awaited in
+    /// the current phase failed with `err`, or `None` when the failure
+    /// does not mean our location knowledge went stale.
+    ///
+    /// - A find whose walk met a dead hop resumes at the step it was
+    ///   finding for; the home hint survives in the spec, so the retry can
+    ///   start a fresh walk.
+    /// - A move that raced a migration (`NotBound`), or whose host is
+    ///   gone, re-runs the placement from wherever the object now is.
+    /// - A lock or an invocation that met the same conditions finds the
+    ///   object again and re-locks or re-invokes: public objects "must be
+    ///   found before the current thread invokes" (§3.5). A
+    ///   `StaleIdentity` refusal joins them only for *advisory* identity
+    ///   (a bind holding a stale cached incarnation, which the re-find
+    ///   replaces with the current one); a pinned stub's `StaleIdentity`
+    ///   surfaces typed, never silently rebound.
+    fn retry_point(&self, err: &RmiError) -> Option<Resume> {
+        let stale = || stale_location(err) || rebindable_identity(&self.spec, err);
+        match self.phase {
+            ExecPhase::AwaitFind { resume } if is_unreachable(err) => Some(resume),
+            ExecPhase::AwaitMove if stale_location(err) => Some(Resume::Action),
+            ExecPhase::AwaitLock { .. } if stale() => Some(Resume::Guard),
+            ExecPhase::AwaitInvoke if stale() => Some(Resume::Invoke),
+            _ => None,
         }
     }
 }
@@ -82,61 +114,115 @@ impl MageNode {
             failure: None,
             restore_tried: false,
         };
-        self.exec_begin_guard(env, id, task);
-    }
-
-    // ---- ladder stages ----
-
-    fn exec_begin_guard(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let needs_guard = task.spec.guard
             && task.spec.object.is_some()
             && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
-        if !needs_guard {
+        if needs_guard {
+            self.exec_locate(env, id, task, Resume::Guard);
+        } else {
             self.exec_begin_action(env, id, task);
-            return;
         }
-        match self.exec_resolve_location(env, id, &mut task) {
-            Ok(Some(loc)) => {
-                task.cloc = Some(loc);
-                self.exec_issue_lock(env, id, task, loc);
-            }
+    }
+
+    // ---- locating ----
+
+    /// Locates the plan's object and continues at `resume`, or parks the
+    /// task on the find the locate step sent.
+    fn exec_locate(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, resume: Resume) {
+        let Some(name) = task.spec.object else {
+            let err = MageError::BadPlan("action requires an object".into());
+            self.exec_fail(env, id, task, err);
+            return;
+        };
+        let hint = task.spec.location_hint.map(|node| {
+            let inc = task.spec.expected_incarnation.unwrap_or(Incarnation::NONE);
+            Located::new(NodeId::from_raw(node), inc)
+        });
+        match self.locate(env, CompKey::object(name), hint, task.spec.home_hint, id) {
+            Ok(Some(loc)) => self.exec_located(env, id, task, resume, loc),
             Ok(None) => {
-                task.phase = ExecPhase::AwaitFind {
-                    resume: Resume::Guard,
-                };
+                task.phase = ExecPhase::AwaitFind { resume };
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
             Err(e) => self.exec_fail(env, id, task, e),
         }
     }
 
+    /// Continues at `resume` now that the object is known to be at `loc`.
+    /// A bind (advisory identity) adopts the incarnation `loc` vouches
+    /// for; a pinned stub keeps its own.
+    fn exec_located(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        resume: Resume,
+        loc: Located,
+    ) {
+        task.cloc = Some(loc.node);
+        if !task.spec.identity_pinned {
+            task.cinc = Some(loc.incarnation).filter(|inc| !inc.is_none());
+        }
+        match resume {
+            Resume::Guard => self.exec_issue_lock(env, id, task, loc.node),
+            Resume::Action => self.exec_begin_action(env, id, task),
+            Resume::Invoke => {
+                task.invoke_at = Some(loc.node);
+                self.exec_begin_invoke(env, id, task);
+            }
+        }
+    }
+
+    /// Records what a find, move or restore reply learned about the plan's
+    /// object, then continues at `resume`.
+    fn exec_learn(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        task: ExecTask,
+        found: &FindReply,
+        resume: Resume,
+    ) {
+        let name = task.spec.object.expect("only object plans locate");
+        let loc = self.learn(CompKey::object(name), found);
+        self.exec_located(env, id, task, resume, loc);
+    }
+
+    /// The one forget step of the retry table: spend a retry, drop the
+    /// stale location knowledge (and, for advisory identity, the stale
+    /// incarnation), repair the registry entry that misled us, and locate
+    /// the object again.
+    fn exec_retry(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, resume: Resume) {
+        task.retries -= 1;
+        task.cloc = None;
+        task.spec.location_hint = None;
+        if !task.spec.identity_pinned {
+            task.cinc = None;
+            task.spec.expected_incarnation = None;
+        }
+        if let Some(name) = task.spec.object {
+            self.registry.remove(CompKey::object(name));
+        }
+        self.exec_locate(env, id, task, resume);
+    }
+
+    // ---- ladder stages ----
+
     fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
-        let me = env.node();
-        let target = task.lock_target(me);
+        let target = task.lock_target(env.node());
         let name = task.spec.object.expect("guard requires an object");
-        let args = proto::LockArgs {
-            name,
-            client: me.as_raw(),
-            target: target.as_raw(),
-            // The lock applies to the incarnation this plan resolved; a
-            // re-creation racing the request is refused typed, not
-            // silently locked.
-            expected: task.cinc.filter(|inc| !inc.is_none()),
-        };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.lock,
-            mage_codec::to_bytes(&args).expect("lock args encode"),
-            id,
-        );
+        // The lock applies to the incarnation this plan resolved; a
+        // re-creation racing the request is refused typed, not silently
+        // locked.
+        let expected = task.cinc.filter(|inc| !inc.is_none());
+        self.issue_lock_call(env, name, target, at, expected, id);
         task.phase = ExecPhase::AwaitLock { at };
         self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
 
     fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let me = env.node();
-        match task.spec.action.clone() {
+        match task.spec.action {
             ActionSpec::Local => {
                 let Some(name) = task.spec.object else {
                     self.exec_fail(
@@ -191,42 +277,15 @@ impl MageNode {
                     task.invoke_at = Some(loc);
                     self.exec_begin_invoke(env, id, task);
                 }
-                None => match self.exec_resolve_location(env, id, &mut task) {
-                    Ok(Some(loc)) => {
-                        task.cloc = Some(loc);
-                        task.invoke_at = Some(loc);
-                        self.exec_begin_invoke(env, id, task);
-                    }
-                    Ok(None) => {
-                        task.phase = ExecPhase::AwaitFind {
-                            resume: Resume::Action,
-                        };
-                        self.tasks.insert(id, Task::Exec(Box::new(task)));
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
+                None => self.exec_locate(env, id, task, Resume::Invoke),
             },
             ActionSpec::MoveTo { node } => {
-                let dest = NodeId::from_raw(node);
-                let cloc = match task.cloc {
-                    Some(loc) => Some(loc),
-                    None => match self.exec_resolve_location(env, id, &mut task) {
-                        Ok(Some(loc)) => Some(loc),
-                        Ok(None) => {
-                            task.phase = ExecPhase::AwaitFind {
-                                resume: Resume::Action,
-                            };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
-                            return;
-                        }
-                        Err(e) => {
-                            self.exec_fail(env, id, task, e);
-                            return;
-                        }
-                    },
+                let Some(cloc) = task.cloc else {
+                    self.exec_locate(env, id, task, Resume::Action);
+                    return;
                 };
-                let cloc = cloc.expect("resolved above");
-                task.cloc = Some(cloc);
+                let dest = NodeId::from_raw(node);
+                let name = task.spec.object.expect("move requires an object");
                 if cloc == dest {
                     // Already at the target: the engine-level mirror of
                     // coercion to RPC.
@@ -235,14 +294,12 @@ impl MageNode {
                 } else if cloc == me {
                     // We host the object: run the transfer ourselves
                     // (Figure 7 without the moveTo hop).
-                    let name = task.spec.object.expect("move requires an object");
                     task.phase = ExecPhase::AwaitMove;
                     self.tasks.insert(id, Task::Exec(Box::new(task)));
                     self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
                 } else {
                     // Ask the hosting namespace to transfer the object
                     // (Figure 7, message 3).
-                    let name = task.spec.object.expect("move requires an object");
                     let args = proto::MoveToArgs {
                         name,
                         dest: dest.as_raw(),
@@ -260,7 +317,7 @@ impl MageNode {
             }
             ActionSpec::Instantiate {
                 node,
-                state,
+                ref state,
                 visibility,
                 durability,
                 backup,
@@ -276,60 +333,83 @@ impl MageNode {
                     );
                     return;
                 };
-                if dest == me {
-                    if self.classes.contains(&task.spec.class) {
-                        let (class_name, object_name) =
-                            (self.name_str(task.spec.class), self.name_str(object_id));
-                        let policy = crate::node::HostPolicy {
-                            visibility,
-                            durability,
-                            backup: backup.map(NodeId::from_raw),
-                        };
-                        let created = self.create_local_object(
-                            env,
-                            &class_name,
-                            &object_name,
-                            &state,
-                            policy,
-                            replace,
-                        );
-                        match created {
-                            Ok(outcome) => {
-                                task.cloc = Some(me);
-                                task.cinc = Some(outcome.incarnation);
-                                task.invoke_at = Some(me);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                            Err(e) => self.exec_fail(env, id, task, e),
-                        }
-                    } else {
-                        self.exec_fetch_class(env, id, task, me);
-                    }
+                if dest != me {
+                    self.exec_instantiate_at(env, id, task, dest, false);
+                } else if !self.classes.contains(&task.spec.class) {
+                    self.exec_fetch_class(env, id, task, me);
                 } else {
-                    let args = proto::InstantiateArgs {
-                        class: task.spec.class,
-                        name: object_id,
-                        state,
+                    let (class_name, object_name) =
+                        (self.name_str(task.spec.class), self.name_str(object_id));
+                    let policy = crate::node::HostPolicy {
                         visibility,
                         durability,
-                        backup,
+                        backup: backup.map(NodeId::from_raw),
+                    };
+                    let created = self.create_local_object(
+                        env,
+                        &class_name,
+                        &object_name,
+                        state,
+                        policy,
                         replace,
-                    };
-                    env.call(
-                        dest,
-                        self.ids.service,
-                        self.ids.instantiate,
-                        mage_codec::to_bytes(&args).expect("instantiate args encode"),
-                        id,
                     );
-                    task.phase = ExecPhase::AwaitInstantiate {
-                        dest,
-                        retried_class: false,
-                    };
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                    match created {
+                        Ok(outcome) => {
+                            task.cloc = Some(me);
+                            task.cinc = Some(outcome.incarnation);
+                            task.invoke_at = Some(me);
+                            self.exec_begin_invoke(env, id, task);
+                        }
+                        Err(e) => self.exec_fail(env, id, task, e),
+                    }
                 }
             }
         }
+    }
+
+    /// Asks `dest` to instantiate the plan's object from its class;
+    /// `retried_class` records whether a class push already preceded this
+    /// request.
+    fn exec_instantiate_at(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        dest: NodeId,
+        retried_class: bool,
+    ) {
+        let ActionSpec::Instantiate {
+            ref state,
+            visibility,
+            durability,
+            backup,
+            replace,
+            ..
+        } = task.spec.action
+        else {
+            unreachable!("only instantiate plans instantiate");
+        };
+        let args = proto::InstantiateArgs {
+            class: task.spec.class,
+            name: task.spec.object.expect("instantiate has an object name"),
+            state: state.clone(),
+            visibility,
+            durability,
+            backup,
+            replace,
+        };
+        env.call(
+            dest,
+            self.ids.service,
+            self.ids.instantiate,
+            mage_codec::to_bytes(&args).expect("instantiate args encode"),
+            id,
+        );
+        task.phase = ExecPhase::AwaitInstantiate {
+            dest,
+            retried_class,
+        };
+        self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
 
     /// Starts class logistics for an instantiation at `dest`: fetch the
@@ -518,9 +598,10 @@ impl MageNode {
             mage_codec::to_bytes(&args).expect("restore args encode"),
             id,
         );
-        task.phase = ExecPhase::AwaitRestore {
-            original: err.clone(),
-        };
+        // No lock is held here, so `failure` is free to carry the error
+        // that surfaces if the backup cannot restore.
+        task.failure = Some(err.clone());
+        task.phase = ExecPhase::AwaitRestore;
         self.tasks.insert(id, Task::Exec(Box::new(task)));
         None
     }
@@ -537,90 +618,20 @@ impl MageNode {
         mut task: ExecTask,
         found: FindReply,
     ) {
-        let loc = NodeId::from_raw(found.location);
-        if let Some(name) = task.spec.object {
-            self.registry
-                .update(CompKey::object(name), Located::new(loc, found.incarnation));
-        }
-        task.cloc = Some(loc);
-        task.spec.location_hint = Some(loc.as_raw());
+        task.spec.location_hint = Some(found.location);
         if !task.spec.identity_pinned {
             // Advisory identity re-resolves to the restored incarnation —
             // recovery is fully transparent. Pinned stubs keep their
             // expectation: the retry resolves to typed `StaleIdentity`
             // and the session's explicit (or handle-level auto) rebind is
             // the observable trace the recovery leaves.
-            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
-            task.spec.expected_incarnation = task.cinc;
+            task.spec.expected_incarnation = Some(found.incarnation).filter(|inc| !inc.is_none());
         }
-        match task.spec.action {
-            ActionSpec::MoveTo { .. } => self.exec_begin_action(env, id, task),
-            _ => {
-                task.invoke_at = Some(loc);
-                self.exec_begin_invoke(env, id, task);
-            }
-        }
-    }
-
-    /// Resolves the component's location from local knowledge or issues a
-    /// find (in which case the caller parks the task).
-    fn exec_resolve_location(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        id: u64,
-        task: &mut ExecTask,
-    ) -> Result<Option<NodeId>, MageError> {
-        let me = env.node();
-        let Some(name) = task.spec.object else {
-            return Err(MageError::BadPlan("action requires an object".into()));
+        let resume = match task.spec.action {
+            ActionSpec::MoveTo { .. } => Resume::Action,
+            _ => Resume::Invoke,
         };
-        let key = CompKey::object(name);
-        if self.has_component(key) {
-            if !task.spec.identity_pinned {
-                task.cinc = Some(self.local_incarnation(key));
-            }
-            return Ok(Some(me));
-        }
-        if let Some(entry) = self.registry.lookup(key) {
-            if entry.node != me {
-                if !task.spec.identity_pinned {
-                    task.cinc = Some(entry.incarnation).filter(|inc| !inc.is_none());
-                }
-                return Ok(Some(entry.node));
-            }
-        }
-        if let Some(hint) = task.spec.location_hint.map(NodeId::from_raw) {
-            if hint != me {
-                if !task.spec.identity_pinned {
-                    task.cinc = task.spec.expected_incarnation;
-                }
-                return Ok(Some(hint));
-            }
-        }
-        let start = task
-            .spec
-            .home_hint
-            .map(NodeId::from_raw)
-            .filter(|h| *h != me);
-        match start {
-            Some(start) => {
-                let args = proto::FindArgs {
-                    key,
-                    visited: vec![me.as_raw()],
-                    home: task.spec.home_hint,
-                    retried: false,
-                };
-                env.call(
-                    start,
-                    self.ids.service,
-                    self.ids.find,
-                    mage_codec::to_bytes(&args).expect("find args encode"),
-                    id,
-                );
-                Ok(None)
-            }
-            None => Err(MageError::NotFound(self.name_str(name))),
-        }
+        self.exec_learn(env, id, task, &found, resume);
     }
 
     // ---- reply dispatch ----
@@ -632,144 +643,76 @@ impl MageNode {
         mut task: ExecTask,
         result: Result<Bytes, RmiError>,
     ) {
-        match task.phase {
-            ExecPhase::AwaitFind { resume } => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = NodeId::from_raw(found.location);
-                        if let Some(name) = task.spec.object {
-                            self.registry.update(
-                                CompKey::object(name),
-                                Located::new(loc, found.incarnation),
-                            );
-                        }
-                        task.cloc = Some(loc);
-                        if !task.spec.identity_pinned {
-                            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        }
-                        match resume {
-                            Resume::Guard => self.exec_issue_lock(env, id, task, loc),
-                            Resume::Action => self.exec_begin_action(env, id, task),
-                            Resume::Invoke => {
-                                task.invoke_at = Some(loc);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                        }
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(ref e) if is_unreachable(e) && task.retries > 0 => {
-                    // The hop we asked is dead; forget the stale location
-                    // knowledge and re-resolve (the home hint survives in
-                    // the spec, so the retry can start a fresh walk).
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    match resume {
-                        Resume::Guard => self.exec_begin_guard(env, id, task),
-                        Resume::Action => self.exec_begin_action(env, id, task),
-                        Resume::Invoke => match self.exec_resolve_location(env, id, &mut task) {
-                            Ok(Some(loc)) => {
-                                task.cloc = Some(loc);
-                                task.invoke_at = Some(loc);
-                                self.exec_begin_invoke(env, id, task);
-                            }
-                            Ok(None) => {
-                                task.phase = ExecPhase::AwaitFind {
-                                    resume: Resume::Invoke,
-                                };
-                                self.tasks.insert(id, Task::Exec(Box::new(task)));
-                            }
-                            Err(e) => self.exec_fail(env, id, task, e),
-                        },
-                    }
+        let retry_at = result.as_ref().err().and_then(|e| task.retry_point(e));
+        if let Some(resume) = retry_at.filter(|_| task.retries > 0) {
+            self.exec_retry(env, id, task, resume);
+            return;
+        }
+        match (task.phase, result) {
+            (ExecPhase::AwaitUnlock, result) => {
+                if let Err(e) = result {
+                    env.note(format!("unlock after bind failed: {e}"));
                 }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitLock { at } => match result {
-                Ok(bytes) => match decode::<LockKind>(&bytes) {
-                    Ok(kind) => {
-                        task.locked_at = Some(at);
-                        task.lock_kind = Some(kind);
-                        self.exec_begin_action(env, id, task);
-                    }
-                    Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(ref e)
-                    if (stale_location(e) || rebindable_identity(&task.spec, e))
-                        && task.retries > 0 =>
+                task.locked_at = None;
+                self.exec_finish(env, task);
+            }
+            (ExecPhase::AwaitRestore, result) => {
+                // No snapshot, or a dead backup: the crash-shaped failure
+                // that sent us here surfaces typed (`restore_tried` blocks
+                // a second consultation).
+                let original = task.failure.take().expect("restore carries its error");
+                match result
+                    .map_err(|_| original)
+                    .and_then(|bytes| decode::<FindReply>(&bytes))
                 {
-                    // Raced a migration (or, for advisory-identity plans,
-                    // a re-creation), or the host we asked is gone: chase
-                    // the object and lock again. The driver's location
-                    // hint is stale by definition here; drop it so the
-                    // retry re-finds from the home.
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    self.exec_begin_guard(env, id, task);
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitMove => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let dest = NodeId::from_raw(found.location);
-                        if let Some(name) = task.spec.object {
-                            self.registry.update(
-                                CompKey::object(name),
-                                Located::new(dest, found.incarnation),
-                            );
-                        }
-                        task.cloc = Some(dest);
-                        if !task.spec.identity_pinned {
-                            task.cinc = Some(found.incarnation).filter(|inc| !inc.is_none());
-                        }
-                        task.invoke_at = Some(dest);
-                        self.exec_begin_invoke(env, id, task);
-                    }
+                    Ok(found) => self.exec_resume_after_restore(env, id, task, found),
                     Err(e) => self.exec_fail(env, id, task, e),
+                }
+            }
+            (
+                ExecPhase::AwaitInstantiate {
+                    dest,
+                    retried_class: false,
                 },
-                Err(ref e) if stale_location(e) && task.retries > 0 => {
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
+                Err(RmiError::Fault(Fault::ClassMissing(_))),
+            ) => {
+                if self.classes.contains(&task.spec.class) {
+                    // We have the class: push it to the target
+                    // (traditional REV ships local code to the server).
+                    let class_args = self
+                        .class_args(task.spec.class)
+                        .expect("cached class defined");
+                    self.push_class(env, dest, &class_args, id);
+                    task.phase = ExecPhase::AwaitPushClass { dest };
+                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                } else {
+                    // Neither we nor the target have it: pull it first
+                    // (GREV-style third-party placement).
+                    self.exec_fetch_class(env, id, task, dest);
+                }
+            }
+            (_, Err(e)) => {
+                let err = rmi_error_to_mage(&e);
+                self.exec_fail(env, id, task, err);
+            }
+            (ExecPhase::AwaitFind { resume }, Ok(bytes)) => match decode::<FindReply>(&bytes) {
+                Ok(found) => self.exec_learn(env, id, task, &found, resume),
+                Err(e) => self.exec_fail(env, id, task, e),
+            },
+            (ExecPhase::AwaitLock { at }, Ok(bytes)) => match decode::<LockKind>(&bytes) {
+                Ok(kind) => {
+                    task.locked_at = Some(at);
+                    task.lock_kind = Some(kind);
                     self.exec_begin_action(env, id, task);
                 }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
+                Err(e) => self.exec_fail(env, id, task, e),
             },
-            ExecPhase::AwaitFetchClass { dest } => match result {
-                Ok(bytes) => match decode::<proto::ReceiveClassArgs>(&bytes) {
+            (ExecPhase::AwaitMove, Ok(bytes)) => match decode::<FindReply>(&bytes) {
+                Ok(found) => self.exec_learn(env, id, task, &found, Resume::Invoke),
+                Err(e) => self.exec_fail(env, id, task, e),
+            },
+            (ExecPhase::AwaitFetchClass { dest }, Ok(bytes)) => {
+                match decode::<proto::ReceiveClassArgs>(&bytes) {
                     Ok(class_args) => {
                         // Define the class locally (MAGE clones classes,
                         // §4.2), then instantiate or push onward.
@@ -781,198 +724,41 @@ impl MageNode {
                         if dest == me {
                             self.exec_begin_action(env, id, task);
                         } else {
-                            env.call(
-                                dest,
-                                self.ids.service,
-                                self.ids.receive_class,
-                                mage_codec::to_bytes(&class_args).expect("class args encode"),
-                                id,
-                            );
+                            self.push_class(env, dest, &class_args, id);
                             task.phase = ExecPhase::AwaitPushClass { dest };
                             self.tasks.insert(id, Task::Exec(Box::new(task)));
                         }
                     }
                     Err(e) => self.exec_fail(env, id, task, e),
-                },
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
                 }
-            },
-            ExecPhase::AwaitPushClass { dest } => match result {
-                Ok(_) => {
-                    // Class is in place; retry the instantiation.
-                    let (state, visibility, durability, backup, replace) = match &task.spec.action {
-                        ActionSpec::Instantiate {
-                            state,
-                            visibility,
-                            durability,
-                            backup,
-                            replace,
-                            ..
-                        } => (state.clone(), *visibility, *durability, *backup, *replace),
-                        _ => (
-                            Vec::new(),
-                            crate::component::Visibility::Public,
-                            crate::component::Durability::Volatile,
-                            None,
-                            true,
-                        ),
-                    };
-                    let args = proto::InstantiateArgs {
-                        class: task.spec.class,
-                        name: task.spec.object.expect("instantiate has an object name"),
-                        state,
-                        visibility,
-                        durability,
-                        backup,
-                        replace,
-                    };
-                    env.call(
-                        dest,
-                        self.ids.service,
-                        self.ids.instantiate,
-                        mage_codec::to_bytes(&args).expect("instantiate args encode"),
-                        id,
-                    );
-                    task.phase = ExecPhase::AwaitInstantiate {
-                        dest,
-                        retried_class: true,
-                    };
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitInstantiate {
-                dest,
-                retried_class,
-            } => match result {
-                Ok(bytes) => {
-                    // A malformed reply must surface, not silently yield
-                    // Incarnation::NONE — that would disable the identity
-                    // check for the fresh object.
-                    let incarnation = match decode::<Incarnation>(&bytes) {
-                        Ok(incarnation) => incarnation,
-                        Err(e) => {
-                            self.exec_fail(env, id, task, e);
-                            return;
-                        }
-                    };
-                    if let Some(name) = task.spec.object {
-                        self.registry
-                            .update(CompKey::object(name), Located::new(dest, incarnation));
-                    }
-                    task.cloc = Some(dest);
-                    task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
-                    task.invoke_at = Some(dest);
-                    self.exec_begin_invoke(env, id, task);
-                }
-                Err(RmiError::Fault(Fault::ClassMissing(_))) if !retried_class => {
-                    if self.classes.contains(&task.spec.class) {
-                        // We have the class: push it to the target
-                        // (traditional REV ships local code to the server).
-                        let def = self
-                            .lib
-                            .get(&self.syms.resolve_lossy(task.spec.class))
-                            .expect("cached class defined");
-                        let class_args = proto::ReceiveClassArgs {
-                            class: task.spec.class,
-                            code: vec![0u8; def.code_size() as usize],
-                            has_static_fields: def.has_static_fields(),
-                        };
-                        env.call(
-                            dest,
-                            self.ids.service,
-                            self.ids.receive_class,
-                            mage_codec::to_bytes(&class_args).expect("class args encode"),
-                            id,
-                        );
-                        task.phase = ExecPhase::AwaitPushClass { dest };
-                        self.tasks.insert(id, Task::Exec(Box::new(task)));
-                    } else {
-                        // Neither we nor the target have it: pull it first
-                        // (GREV-style third-party placement).
-                        self.exec_fetch_class(env, id, task, dest);
-                    }
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitInvoke => match result {
-                Ok(bytes) => {
-                    task.result = Some(bytes.to_vec());
-                    self.exec_begin_unlock(env, id, task);
-                }
-                Err(ref e)
-                    if (stale_location(e) || rebindable_identity(&task.spec, e))
-                        && task.retries > 0 =>
-                {
-                    // The object moved under us (or its host died); find
-                    // it again (public objects "must be found before the
-                    // current thread invokes", §3.5). A StaleIdentity
-                    // refusal joins the class only for *advisory* identity
-                    // (a bind holding a stale cached incarnation — the
-                    // re-find resolves the current one); a pinned stub's
-                    // StaleIdentity surfaces typed, never silently rebound.
-                    task.retries -= 1;
-                    task.cloc = None;
-                    task.spec.location_hint = None;
-                    if !task.spec.identity_pinned {
-                        task.cinc = None;
-                        task.spec.expected_incarnation = None;
-                    }
-                    if let Some(name) = task.spec.object {
-                        self.registry.remove(CompKey::object(name));
-                    }
-                    match self.exec_resolve_location(env, id, &mut task) {
-                        Ok(Some(loc)) => {
-                            task.cloc = Some(loc);
-                            task.invoke_at = Some(loc);
-                            self.exec_begin_invoke(env, id, task);
-                        }
-                        Ok(None) => {
-                            task.phase = ExecPhase::AwaitFind {
-                                resume: Resume::Invoke,
-                            };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
-                        }
-                        Err(e) => self.exec_fail(env, id, task, e),
-                    }
-                }
-                Err(e) => {
-                    let err = rmi_error_to_mage(&e);
-                    self.exec_fail(env, id, task, err);
-                }
-            },
-            ExecPhase::AwaitUnlock => {
-                if let Err(e) = result {
-                    env.note(format!("unlock after bind failed: {e}"));
-                }
-                task.locked_at = None;
-                self.exec_finish(env, task);
             }
-            ExecPhase::AwaitRestore { ref mut original } => {
-                // The phase owns the original error; take it out before
-                // the task moves on.
-                let original = std::mem::replace(original, MageError::NotFound(String::new()));
-                match result {
-                    Ok(bytes) => match decode::<FindReply>(&bytes) {
-                        Ok(found) => self.exec_resume_after_restore(env, id, task, found),
-                        Err(e) => self.exec_fail(env, id, task, e),
-                    },
-                    Err(_) => {
-                        // The backup had no snapshot, or is itself dead:
-                        // the crash-shaped failure that sent us here
-                        // surfaces typed (restore_tried blocks a second
-                        // consultation).
-                        self.exec_fail(env, id, task, original);
+            // The class is in place; retry the instantiation.
+            (ExecPhase::AwaitPushClass { dest }, Ok(_)) => {
+                self.exec_instantiate_at(env, id, task, dest, true);
+            }
+            (ExecPhase::AwaitInstantiate { dest, .. }, Ok(bytes)) => {
+                // A malformed reply must surface, not silently yield
+                // Incarnation::NONE — that would disable the identity
+                // check for the fresh object.
+                let incarnation = match decode::<Incarnation>(&bytes) {
+                    Ok(incarnation) => incarnation,
+                    Err(e) => {
+                        self.exec_fail(env, id, task, e);
+                        return;
                     }
+                };
+                if let Some(name) = task.spec.object {
+                    self.registry
+                        .update(CompKey::object(name), Located::new(dest, incarnation));
                 }
+                task.cloc = Some(dest);
+                task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
+                task.invoke_at = Some(dest);
+                self.exec_begin_invoke(env, id, task);
+            }
+            (ExecPhase::AwaitInvoke, Ok(bytes)) => {
+                task.result = Some(bytes.to_vec());
+                self.exec_begin_unlock(env, id, task);
             }
         }
     }

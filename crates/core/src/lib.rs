@@ -13,8 +13,9 @@
 //!
 //! * [`attribute`] — the mobility-attribute hierarchy (Figure 5)
 //! * [`coercion`] — the mobility-coercion matrix (Table 2)
-//! * [`MageNode`] — the per-namespace runtime: registry with forwarding
-//!   chains and path compression, Mage server, external server (§4.1)
+//! * the per-namespace runtime behind each [`Session`]: registry with
+//!   forwarding chains and path compression, Mage server, external
+//!   server (§4.1)
 //! * [`lock`] — per-object stay/move lock queues (§4.4)
 //! * [`Runtime`] — owns the world; hands out per-namespace [`Session`]
 //!   client handles
@@ -83,7 +84,7 @@ pub use class::{ClassDef, ClassLibrary, Method};
 pub use component::{Component, DesignTriple, Durability, ModelKind, Placement, Visibility};
 pub use error::MageError;
 pub use lock::LockKind;
-pub use node::{MageNode, NodeConfig};
+pub use node::NodeConfig;
 pub use object::{MobileEnv, MobileObject};
 pub use pending::Pending;
 pub use runtime::{Runtime, RuntimeBuilder};

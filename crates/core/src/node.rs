@@ -31,11 +31,12 @@ use crate::proto::{self, methods, Outcome};
 use crate::registry::{CompKey, Incarnation, IncarnationMinter, Kind, Located, Registry};
 use crate::security::TrustPolicy;
 
+/// Maximum forwarding-chain length a find will follow.
+const FIND_HOP_LIMIT: u32 = 16;
+
 /// Tuning knobs for one namespace's MAGE runtime.
 #[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
-    /// Maximum forwarding-chain length a find will follow.
-    pub find_hop_limit: u32,
     /// Use fair (arrival-order) lock granting instead of the paper's
     /// unfair stay-favouring policy.
     pub fair_locks: bool,
@@ -56,7 +57,6 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
-            find_hop_limit: 16,
             fair_locks: false,
             bind_overhead: SimDuration::from_micros(1_200),
             invoke_overhead: SimDuration::from_micros(500),
@@ -315,7 +315,7 @@ impl MageNode {
         };
         if next == me
             || args.visited.contains(&next.as_raw())
-            || args.visited.len() as u32 >= self.config.find_hop_limit
+            || args.visited.len() as u32 >= FIND_HOP_LIMIT
         {
             // Stale self-pointing entry, a cycle, or an over-long chain:
             // the entry provably leads nowhere from here. Repair it (so
@@ -513,7 +513,7 @@ impl MageNode {
         if let Some(dest_name) = hop {
             match self.peers.get(&dest_name).copied() {
                 Some(dest) if dest != env.node() => {
-                    self.start_move(env, name, dest, MoveOrigin::Autonomous);
+                    self.begin_move_out(env, name, dest, MoveOrigin::Autonomous);
                 }
                 Some(_) => {} // hop to self: nothing to do
                 None => {
@@ -547,7 +547,7 @@ impl MageNode {
                 self.name_str(args.name)
             )))),
             Some(_) => {
-                self.start_move(env, args.name, dest, MoveOrigin::Reply(call.handle()));
+                self.begin_move_out(env, args.name, dest, MoveOrigin::Reply(call.handle()));
                 CallOutcome::Deferred
             }
         }
@@ -664,18 +664,11 @@ impl MageNode {
             Ok(args) => args,
             Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
         };
-        if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
+        let cached = self.classes.contains(&args.class);
+        match cached.then(|| self.class_args(args.class)).flatten() {
+            Some(class_args) => reply_ok(&class_args),
+            None => CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class)))),
         }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string())));
-        };
-        reply_ok(&proto::ReceiveClassArgs {
-            class: args.class,
-            code: vec![0u8; def.code_size() as usize],
-            has_static_fields: def.has_static_fields(),
-        })
     }
 
     fn handle_instantiate(
@@ -760,26 +753,6 @@ impl MageNode {
 
     fn handle_command(&mut self, env: &mut Env<'_, '_>, op: OpId, cmd: proto::Command) {
         match cmd {
-            proto::Command::DeployClass { class } => {
-                if !self.lib.contains(&class) {
-                    let err = crate::error::MageError::ClassUnavailable(class);
-                    self.complete(env, op, Err(err));
-                    return;
-                }
-                let class_id = self.syms.intern(&class);
-                self.classes.insert(class_id);
-                let me = env.node();
-                self.registry
-                    .update(CompKey::class(class_id), Located::untracked(me));
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me.as_raw(),
-                        ..Outcome::default()
-                    }),
-                );
-            }
             proto::Command::CreateObject {
                 class,
                 name,
@@ -794,39 +767,38 @@ impl MageNode {
                     backup: backup.map(NodeId::from_raw),
                 };
                 let result = self.create_local_object(env, &class, &name, &state, policy, false);
-                self.complete(env, op, result);
+                return self.complete(env, op, result);
             }
             proto::Command::Find { key, home_hint } => {
-                self.start_client_find(env, op, key, home_hint);
+                return self.start_client_find(env, op, key, home_hint);
             }
             proto::Command::Lock {
                 name,
                 target,
                 home_hint,
-            } => {
-                self.start_client_lock(env, op, name, target, home_hint);
-            }
+            } => return self.start_client_lock(env, op, name, target, home_hint),
             proto::Command::Unlock { name, home_hint } => {
-                self.start_client_unlock(env, op, name, home_hint);
+                return self.start_client_unlock(env, op, name, home_hint);
             }
             proto::Command::Execute(spec) => {
                 env.charge(self.config.bind_overhead);
-                self.exec_start(env, op, spec);
+                return self.exec_start(env, op, spec);
+            }
+            proto::Command::DeployClass { class } => {
+                if !self.lib.contains(&class) {
+                    let err = crate::error::MageError::ClassUnavailable(class);
+                    return self.complete(env, op, Err(err));
+                }
+                let class_id = self.syms.intern(&class);
+                self.classes.insert(class_id);
+                self.registry
+                    .update(CompKey::class(class_id), Located::untracked(env.node()));
             }
             proto::Command::SetTrust { allow } => {
                 self.trust = match allow {
                     None => TrustPolicy::TrustAll,
                     Some(ids) => TrustPolicy::allow_raw(ids),
                 };
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
             }
             proto::Command::SetQuota {
                 max_objects,
@@ -836,27 +808,9 @@ impl MageNode {
                     max_objects,
                     max_classes,
                 };
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
             }
             proto::Command::AllowStaticClasses { allow } => {
                 self.config.allow_static_classes = allow;
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
             }
             proto::Command::SeedRegistry { name, loc } => {
                 let key = CompKey::parse(&self.syms, &name);
@@ -864,17 +818,18 @@ impl MageNode {
                 // they carry no identity knowledge.
                 self.registry
                     .update(key, Located::untracked(NodeId::from_raw(loc)));
-                let me = env.node().as_raw();
-                self.complete(
-                    env,
-                    op,
-                    Ok(Outcome {
-                        location: me,
-                        ..Outcome::default()
-                    }),
-                );
             }
         }
+        // The admin commands take effect at once: one ack from this node.
+        let me = env.node().as_raw();
+        self.complete(
+            env,
+            op,
+            Ok(Outcome {
+                location: me,
+                ..Outcome::default()
+            }),
+        );
     }
 
     pub(crate) fn create_local_object(
@@ -987,7 +942,7 @@ impl MageNode {
             name,
             dest: backup,
             args: args.clone(),
-            phase: crate::engine::CkptPhase::SentCheckpoint {
+            phase: crate::engine::ShipPhase::SentPayload {
                 retried_class: false,
             },
         }));
@@ -1270,17 +1225,5 @@ impl std::fmt::Debug for MageNode {
             .field("registry_entries", &self.registry.len())
             .field("tasks_in_flight", &self.tasks.len())
             .finish_non_exhaustive()
-    }
-}
-
-impl MageNode {
-    pub(crate) fn start_move(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        name: NameId,
-        dest: NodeId,
-        origin: MoveOrigin,
-    ) {
-        self.begin_move_out(env, name, dest, origin);
     }
 }

@@ -560,7 +560,7 @@ impl Runtime {
     /// Processes a single simulation event, if any is due.
     ///
     /// Returns `false` when the world is idle. This is the finest-grained
-    /// way to drive a batch of in-flight [`Pending`] operations and
+    /// way to drive a batch of in-flight [`Pending`](crate::Pending) operations and
     /// observe their interleaving.
     pub fn step(&mut self) -> bool {
         self.inner.borrow_mut().world.step()

@@ -11,7 +11,7 @@ use crate::endpoint::{App, Config, Endpoint, Env};
 use crate::error::RmiError;
 use crate::object::RemoteObject;
 
-/// Driver command understood by [`DriverClient`].
+/// Driver command understood by a [`client_endpoint`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DriverCmd {
     /// Raw [`OpId`] to complete when the call finishes.

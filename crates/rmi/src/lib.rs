@@ -60,7 +60,7 @@ pub mod symbols;
 pub mod wire;
 
 pub use cost::CostModel;
-pub use driver::{client_endpoint, drive_call, server_endpoint, DriverClient, DriverCmd};
+pub use driver::{client_endpoint, drive_call, server_endpoint, DriverCmd};
 pub use endpoint::{App, CallOutcome, Config, Endpoint, Env, InboundCall, ReplyHandle, ServerOnly};
 pub use error::{Fault, RmiError};
 pub use object::{ObjectEnv, RemoteObject};
