@@ -503,7 +503,11 @@ impl MobilityAttribute for Cle {
 ///     "WorkerImpl",
 ///     "worker",
 ///     |view| {
-///         let here = view.location().expect("worker exists");
+///         // `None`: no worker to balance yet (or the find failed, which
+///         // then fails the bind with the find's own error).
+///         let Some(here) = view.location() else {
+///             return Err(MageError::NotFound("worker".into()));
+///         };
 ///         if view.load(here) > 0.8 {
 ///             let (coolest, _) = view
 ///                 .namespaces()

@@ -1,12 +1,13 @@
 //! Mobility attributes (§3): first-class objects that bind to components
 //! and decide whether and where the component moves before it executes.
 //!
-//! An attribute's [`plan`](MobilityAttribute::plan) is consulted at bind
-//! time with a [`BindView`] of the system (the component's current
-//! location, namespace directory, per-node load) and produces a
-//! [`BindPlan`]: a computation target plus a placement mode. The runtime
-//! classifies the component's situation, applies mobility coercion
-//! (Table 2) and executes the resulting protocol.
+//! An attribute's [`plan`](MobilityAttribute::plan) is consulted once per
+//! bind with a [`BindView`] of the system (the component's current
+//! location, resolved only if the plan asks; namespace directory; per-node
+//! load) and produces a [`BindPlan`]: a computation target plus a
+//! placement mode. The engine then locates the component, classifies its
+//! situation, applies mobility coercion (Table 2) and executes the
+//! resulting protocol.
 //!
 //! The built-in hierarchy mirrors the paper's Figure 5: [`Lpc`], [`Rpc`],
 //! [`Cod`], [`Rev`], [`Grev`], [`MobileAgent`] and [`Cle`], plus
@@ -37,6 +38,7 @@ mod builtin;
 
 pub use builtin::{Cle, Cod, Grev, Lpc, MobileAgent, PolicyAttribute, PolicyFn, Rev, Rpc};
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use mage_sim::{NodeId, SimTime};
@@ -114,10 +116,12 @@ impl BindPlan {
 /// [`plan`](MobilityAttribute::plan): "the application can apply its
 /// detailed knowledge of how best to use and acquire the resources it
 /// needs, given its state and the current state of the network" (§3.1).
-#[derive(Debug)]
 pub struct BindView<'a> {
     client: NodeId,
-    location: Option<NodeId>,
+    /// The component's location, once resolved.
+    location: OnceCell<Option<NodeId>>,
+    /// Resolves `location` the first time the plan asks.
+    locate: Option<&'a dyn Fn() -> Option<NodeId>>,
     names: &'a BTreeMap<String, NodeId>,
     loads: &'a BTreeMap<NodeId, f64>,
     now: SimTime,
@@ -133,10 +137,27 @@ impl<'a> BindView<'a> {
     ) -> Self {
         BindView {
             client,
-            location,
+            location: OnceCell::from(location),
+            locate: None,
             names,
             loads,
             now,
+        }
+    }
+
+    /// A view whose location `locate` resolves on first use (the bind
+    /// path: a shared object's location costs a find).
+    pub(crate) fn lazy(
+        client: NodeId,
+        locate: &'a dyn Fn() -> Option<NodeId>,
+        names: &'a BTreeMap<String, NodeId>,
+        loads: &'a BTreeMap<NodeId, f64>,
+        now: SimTime,
+    ) -> Self {
+        BindView {
+            location: OnceCell::new(),
+            locate: Some(locate),
+            ..BindView::new(client, None, names, loads, now)
         }
     }
 
@@ -146,8 +167,23 @@ impl<'a> BindView<'a> {
     }
 
     /// The component's current location, if it exists yet.
+    ///
+    /// Resolved once per bind, the first time a plan asks: a private
+    /// object's cached location (else its origin server) costs nothing,
+    /// while a shared object's costs a find (§3.5). A plan that never
+    /// asks binds without that find; the engine then finds the object
+    /// itself before using it. `None` also answers a find that failed
+    /// with anything but `NotFound` (a partition, a dead hop); the bind
+    /// then fails with that error whatever the plan returns.
     pub fn location(&self) -> Option<NodeId> {
-        self.location
+        *self
+            .location
+            .get_or_init(|| self.locate.and_then(|locate| locate()))
+    }
+
+    /// The location, if the plan asked for it (or it was given).
+    pub(crate) fn resolved(&self) -> Option<NodeId> {
+        self.location.get().copied().flatten()
     }
 
     /// Resolves a namespace display name to its node id.
@@ -183,6 +219,16 @@ impl<'a> BindView<'a> {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
+    }
+}
+
+impl std::fmt::Debug for BindView<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BindView")
+            .field("client", &self.client)
+            .field("location", &self.location.get())
+            .field("now", &self.now)
+            .finish_non_exhaustive()
     }
 }
 

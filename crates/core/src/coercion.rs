@@ -64,9 +64,10 @@ impl Situation {
 }
 
 /// The outcome of mobility coercion: how the invocation should proceed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Coerced {
     /// Use the model's default behaviour (Table 2's "Default Behavior").
+    #[default]
     Proceed,
     /// Coerce to RPC: the component is already at the target, so skip the
     /// move and invoke remotely.

@@ -11,11 +11,13 @@
 //!   moves and autonomous mobile-agent hops
 //! * forwarded finds — the registry's chain-walking with path compression
 //!
-//! The exec, lock and unlock engines ask `MageNode::locate` where a
-//! component is: the single locate step, which answers from this node's
-//! own copy, the registry or the caller's hint, or else starts a find walk
-//! from the component's home. (A driver find always walks the chain: for
-//! it the registry is the start, not the answer.) Find, move and restore
+//! The exec, lock and unlock engines and the driver find ask
+//! `MageNode::locate` where a component is: the single locate step, which
+//! answers from this node's own copy, the registry or the caller's hint,
+//! or else starts a find walk from the component's home. A *walk* — a
+//! driver find, or a bind with no location hint, which must find a shared
+//! object before use (§3.5) — takes the registry entry as where the
+//! forwarding chain starts, not as the answer. Find, move and restore
 //! replies are recorded through `MageNode::learn`, and class pushes go
 //! through `class_args` and `push_class`, each written once.
 //!
@@ -182,6 +184,8 @@ pub(crate) struct ExecTask {
     /// Whether the once-only backup consultation has been spent (the
     /// durability mirror of the find walk's once-only home retry).
     pub restore_tried: bool,
+    /// How Table 2 coercion resolved the bind (set when it first locates).
+    pub coerced: crate::coercion::Coerced,
 }
 
 pub(crate) fn rmi_error_to_mage(err: &RmiError) -> MageError {
@@ -269,28 +273,41 @@ impl MageNode {
     /// incarnation that knowledge vouches for, without a network call if
     /// possible.
     ///
-    /// Consults, in order, this node's own copy, the registry, the
-    /// caller's `hint` and finally the `home` node. Returns
-    /// `Ok(Some(loc))` when known (possibly this node), `Ok(None)` after
-    /// sending a find walk whose reply goes to `token` (the caller parks
-    /// its task), or `NotFound` when there is nowhere left to ask.
+    /// Answers from this node's own copy; for an object mid-move out of
+    /// here, the move's outcome answers once it settles. Otherwise, unless
+    /// `walk`, it answers from the registry or the caller's `hint`. A walk
+    /// (a driver find, or a bind that must find before use, §3.5) treats
+    /// those entries as where the forwarding chain starts, not as the
+    /// answer, and starts at the `home` node without them. Returns
+    /// `Ok(Some(loc))` when known (possibly this node), `Ok(None)` when
+    /// the answer will arrive as a find reply to `token` (the caller
+    /// parks its task), or `NotFound` when there is nowhere left to ask.
     pub(crate) fn locate(
         &mut self,
         env: &mut Env<'_, '_>,
         key: CompKey,
         hint: Option<Located>,
         home: Option<u32>,
+        walk: bool,
         token: u64,
     ) -> Result<Option<Located>, MageError> {
         let me = env.node();
         if self.has_component(key) {
             return Ok(Some(Located::new(me, self.local_incarnation(key))));
         }
-        let known = self.registry.lookup(key).filter(|l| l.node != me);
-        if let Some(loc) = known.or(hint.filter(|l| l.node != me)) {
+        if self.in_transit(key) {
+            // Our own object is mid-move: the move's outcome is the answer.
+            let waiters = self.transit_finds.entry(key.id).or_default();
+            waiters.push(TransitFindWaiter::Task(token));
+            return Ok(None);
+        }
+        let elsewhere = |loc: &Located| loc.node != me;
+        let known = (self.registry.lookup(key).filter(elsewhere)).or(hint.filter(elsewhere));
+        if let Some(loc) = known.filter(|_| !walk) {
             return Ok(Some(loc));
         }
-        match home.map(NodeId::from_raw).filter(|h| *h != me) {
+        let start = known.map(|l| l.node);
+        match start.or_else(|| home.map(NodeId::from_raw).filter(|h| *h != me)) {
             Some(start) => {
                 self.send_find(env, start, key, home, false, token);
                 Ok(None)
@@ -523,62 +540,28 @@ impl MageNode {
         home_hint: Option<u32>,
     ) {
         env.charge(self.config.bind_overhead);
-        let me = env.node();
-        if self.has_component(key) {
-            let reply = self.local_find_reply(key, me);
-            self.complete(
+        let token = self.next_task;
+        self.next_task += 1;
+        match self.locate(env, key, None, home_hint, true, token) {
+            Ok(Some(loc)) => self.complete(
                 env,
                 op,
                 Ok(Outcome {
-                    location: reply.location,
-                    incarnation: reply.incarnation,
+                    location: loc.node.as_raw(),
+                    incarnation: loc.incarnation,
                     ..Outcome::default()
                 }),
-            );
-            return;
-        }
-        if key.kind == crate::registry::Kind::Object
-            && self
-                .objects
-                .get(&key.id)
-                .is_some_and(|hosted| hosted.in_transit)
-        {
-            // Our own object is mid-move: park like a remote find and
-            // answer when the transfer settles.
-            self.transit_finds
-                .entry(key.id)
-                .or_default()
-                .push(TransitFindWaiter::Op(op));
-            return;
-        }
-        // The local registry entry is the *start* of the forwarding chain,
-        // not the answer: shared objects move behind our back, so a find
-        // must walk the chain to the hosting server and verify (§4.1).
-        let start = self
-            .registry
-            .lookup(key)
-            .map(|entry| entry.node)
-            .filter(|n| *n != me)
-            .or_else(|| home_hint.map(NodeId::from_raw).filter(|h| *h != me));
-        match start {
-            Some(start) => {
-                let token = self.next_task;
-                self.next_task += 1;
-                self.send_find(env, start, key, home_hint, false, token);
-                self.tasks.insert(
-                    token,
-                    Task::ClientFind {
-                        op,
-                        key,
-                        home: home_hint,
-                        retried: false,
-                    },
-                );
+            ),
+            Ok(None) => {
+                let task = Task::ClientFind {
+                    op,
+                    key,
+                    home: home_hint,
+                    retried: false,
+                };
+                self.tasks.insert(token, task);
             }
-            None => {
-                let err = MageError::NotFound(key.display(&self.syms));
-                self.complete(env, op, Err(err));
-            }
+            Err(e) => self.complete(env, op, Err(e)),
         }
     }
 
@@ -611,7 +594,7 @@ impl MageNode {
     /// parks the task on the find).
     fn client_lock_locate(&mut self, env: &mut Env<'_, '_>, token: u64, task: ClientLockTask) {
         let key = CompKey::object(task.name);
-        match self.locate(env, key, None, task.home_hint, token) {
+        match self.locate(env, key, None, task.home_hint, false, token) {
             Ok(Some(loc)) => self.client_lock_call(env, token, task, loc),
             Ok(None) => {
                 self.tasks.insert(token, Task::ClientLock(task));
@@ -726,7 +709,7 @@ impl MageNode {
             name,
             phase: LocatePhase::Finding,
         };
-        match self.locate(env, CompKey::object(name), None, home_hint, token) {
+        match self.locate(env, CompKey::object(name), None, home_hint, false, token) {
             Ok(Some(loc)) => self.client_unlock_call(env, token, task, loc.node),
             Ok(None) => {
                 self.tasks.insert(token, Task::ClientUnlock(task));
@@ -919,10 +902,10 @@ impl MageNode {
         }
     }
 
-    /// Answers every find parked on `name` during its transit: remote
-    /// calls get an RMI reply, driver ops complete locally, both with
-    /// `location` (the destination on commit, this node on abort) and
-    /// the moved object's incarnation.
+    /// Answers every find parked on `name` during its transit — remote
+    /// calls over RMI, local tasks in place — with `location` (the
+    /// destination on commit, this node on abort) and the moved object's
+    /// incarnation.
     fn flush_transit_finds(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -935,22 +918,12 @@ impl MageNode {
             incarnation,
         };
         for waiter in self.transit_finds.remove(&name).unwrap_or_default() {
+            let payload = mage_codec::to_bytes(&reply).expect("find reply encodes");
             match waiter {
                 TransitFindWaiter::Reply(handle) => {
-                    let payload = mage_codec::to_bytes(&reply).expect("find reply encodes");
                     env.reply(handle, Ok(payload));
                 }
-                TransitFindWaiter::Op(op) => {
-                    self.complete(
-                        env,
-                        op,
-                        Ok(Outcome {
-                            location: reply.location,
-                            incarnation,
-                            ..Outcome::default()
-                        }),
-                    );
-                }
+                TransitFindWaiter::Task(token) => self.step_task(env, token, Ok(payload.into())),
             }
         }
     }

@@ -1,11 +1,15 @@
 //! The bind/invoke execution ladder.
 //!
 //! An [`ExecTask`] runs on the client's node and realises one mobility-
-//! attribute application: `[lock] → place component → [invoke] → [unlock]`.
-//! Placement is whatever the (already coercion-checked) plan says: nothing
-//! (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or an
-//! instantiation from the class (traditional REV/COD factories), with class
-//! transfer slipped in on demand.
+//! attribute application: `locate → coerce → [lock] → place component →
+//! [invoke] → [unlock]`. A bind first locates its object (a bind with no
+//! location hint finds it, §3.5: shared objects "must be found before
+//! use"), then applies Table 2 coercion once, which rewrites the plan's
+//! default action for where the object turned out to be. Placement is
+//! then nothing (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or
+//! an instantiation from the class (traditional REV/COD factories; these
+//! have nothing to locate), with class transfer slipped in on demand. A
+//! stub invocation skips the first two steps and acts on its hint.
 //!
 //! # Recovery
 //!
@@ -28,6 +32,8 @@ use bytes::Bytes;
 use mage_rmi::{Env, Fault, RmiError};
 use mage_sim::{NodeId, OpId};
 
+use crate::coercion::{coerce, Coerced, Situation};
+use crate::component::ModelKind;
 use crate::engine::{
     decode, is_unreachable, rmi_error_to_mage, ExecPhase, ExecTask, MoveOrigin, Resume, Task,
 };
@@ -63,6 +69,30 @@ impl ExecTask {
             ActionSpec::MoveTo { node } => NodeId::from_raw(*node),
             ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
         }
+    }
+
+    /// Table 2, applied once, when the bind first learns its object is at
+    /// `loc`: rewrites the plan's default action into the model that
+    /// matches where the object actually is.
+    fn coerce(&mut self, model: ModelKind, me: NodeId, loc: NodeId) -> Result<(), MageError> {
+        let target = match self.spec.action {
+            ActionSpec::InvokeAt { node } | ActionSpec::MoveTo { node } => {
+                Some(NodeId::from_raw(node))
+            }
+            ActionSpec::Local => Some(me),
+            ActionSpec::InvokeAtCurrent | ActionSpec::Instantiate { .. } => None,
+        };
+        self.coerced = coerce(model, Situation::classify(me, target, Some(loc)))?;
+        let here = ActionSpec::InvokeAt { node: loc.as_raw() };
+        match self.coerced {
+            Coerced::AsLpc => self.spec.action = ActionSpec::Local,
+            Coerced::AsRpc => self.spec.action = here,
+            Coerced::Proceed if self.spec.action == ActionSpec::InvokeAtCurrent => {
+                self.spec.action = here;
+            }
+            Coerced::Proceed => {}
+        }
+        Ok(())
     }
 
     /// The retry table: where the ladder resumes when the step awaited in
@@ -113,12 +143,19 @@ impl MageNode {
             retries: self.config.race_retries,
             failure: None,
             restore_tried: false,
+            coerced: Coerced::Proceed,
         };
-        let needs_guard = task.spec.guard
-            && task.spec.object.is_some()
+        // A bind locates (and so coerces) before it acts; a factory bind
+        // has nothing to locate, and a stub invocation acts on its hint.
+        let locates = task.spec.model.is_some()
             && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
-        if needs_guard {
-            self.exec_locate(env, id, task, Resume::Guard);
+        if locates {
+            let resume = if task.spec.guard {
+                Resume::Guard
+            } else {
+                Resume::Action
+            };
+            self.exec_locate(env, id, task, resume);
         } else {
             self.exec_begin_action(env, id, task);
         }
@@ -127,30 +164,28 @@ impl MageNode {
     // ---- locating ----
 
     /// Locates the plan's object and continues at `resume`, or parks the
-    /// task on the find the locate step sent.
+    /// task on the find the locate step sent. Without a location hint the
+    /// locate walks the forwarding chain (find before use, §3.5).
     fn exec_locate(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, resume: Resume) {
-        let Some(name) = task.spec.object else {
-            let err = MageError::BadPlan("action requires an object".into());
-            self.exec_fail(env, id, task, err);
-            return;
-        };
         let hint = task.spec.location_hint.map(|node| {
             let inc = task.spec.expected_incarnation.unwrap_or(Incarnation::NONE);
             Located::new(NodeId::from_raw(node), inc)
         });
-        match self.locate(env, CompKey::object(name), hint, task.spec.home_hint, id) {
+        let key = CompKey::object(task.spec.object);
+        match self.locate(env, key, hint, task.spec.home_hint, hint.is_none(), id) {
             Ok(Some(loc)) => self.exec_located(env, id, task, resume, loc),
             Ok(None) => {
                 task.phase = ExecPhase::AwaitFind { resume };
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
-            Err(e) => self.exec_fail(env, id, task, e),
+            Err(e) => self.exec_unlocated(env, id, task, e),
         }
     }
 
     /// Continues at `resume` now that the object is known to be at `loc`.
     /// A bind (advisory identity) adopts the incarnation `loc` vouches
-    /// for; a pinned stub keeps its own.
+    /// for; a pinned stub keeps its own. The first location a bind learns
+    /// decides its coercion.
     fn exec_located(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -163,6 +198,12 @@ impl MageNode {
         if !task.spec.identity_pinned {
             task.cinc = Some(loc.incarnation).filter(|inc| !inc.is_none());
         }
+        if let Some(model) = task.spec.model.take() {
+            if let Err(e) = task.coerce(model, env.node(), loc.node) {
+                self.exec_fail(env, id, task, e);
+                return;
+            }
+        }
         match resume {
             Resume::Guard => self.exec_issue_lock(env, id, task, loc.node),
             Resume::Action => self.exec_begin_action(env, id, task),
@@ -170,6 +211,28 @@ impl MageNode {
                 task.invoke_at = Some(loc.node);
                 self.exec_begin_invoke(env, id, task);
             }
+        }
+    }
+
+    /// A bind whose locate came back empty. Table 2 lets it proceed only
+    /// where acting needs no location (an unguarded `InvokeAt`, once the
+    /// find said `NotFound`); anything else fails through the ladder.
+    fn exec_unlocated(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        id: u64,
+        mut task: ExecTask,
+        err: MageError,
+    ) {
+        let proceeds = task.spec.model.is_some()
+            && !task.spec.guard
+            && matches!(task.spec.action, ActionSpec::InvokeAt { .. })
+            && matches!(err, MageError::NotFound(_));
+        if proceeds {
+            task.spec.model = None;
+            self.exec_begin_action(env, id, task);
+        } else {
+            self.exec_fail(env, id, task, err);
         }
     }
 
@@ -183,8 +246,7 @@ impl MageNode {
         found: &FindReply,
         resume: Resume,
     ) {
-        let name = task.spec.object.expect("only object plans locate");
-        let loc = self.learn(CompKey::object(name), found);
+        let loc = self.learn(CompKey::object(task.spec.object), found);
         self.exec_located(env, id, task, resume, loc);
     }
 
@@ -200,9 +262,7 @@ impl MageNode {
             task.cinc = None;
             task.spec.expected_incarnation = None;
         }
-        if let Some(name) = task.spec.object {
-            self.registry.remove(CompKey::object(name));
-        }
+        self.registry.remove(CompKey::object(task.spec.object));
         self.exec_locate(env, id, task, resume);
     }
 
@@ -210,12 +270,11 @@ impl MageNode {
 
     fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
         let target = task.lock_target(env.node());
-        let name = task.spec.object.expect("guard requires an object");
         // The lock applies to the incarnation this plan resolved; a
         // re-creation racing the request is refused typed, not silently
         // locked.
         let expected = task.cinc.filter(|inc| !inc.is_none());
-        self.issue_lock_call(env, name, target, at, expected, id);
+        self.issue_lock_call(env, task.spec.object, target, at, expected, id);
         task.phase = ExecPhase::AwaitLock { at };
         self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
@@ -224,15 +283,7 @@ impl MageNode {
         let me = env.node();
         match task.spec.action {
             ActionSpec::Local => {
-                let Some(name) = task.spec.object else {
-                    self.exec_fail(
-                        env,
-                        id,
-                        task,
-                        MageError::BadPlan("local action requires an object".into()),
-                    );
-                    return;
-                };
+                let name = task.spec.object;
                 task.invoke_at = Some(me);
                 if let Some(invoke) = task.spec.invoke.as_ref() {
                     // A bind (advisory identity) re-resolves against the
@@ -272,20 +323,11 @@ impl MageNode {
                 task.invoke_at = Some(NodeId::from_raw(node));
                 self.exec_begin_invoke(env, id, task);
             }
-            ActionSpec::InvokeAtCurrent => match task.cloc {
-                Some(loc) => {
-                    task.invoke_at = Some(loc);
-                    self.exec_begin_invoke(env, id, task);
-                }
-                None => self.exec_locate(env, id, task, Resume::Invoke),
-            },
+            ActionSpec::InvokeAtCurrent => unreachable!("coercion resolved the current location"),
             ActionSpec::MoveTo { node } => {
-                let Some(cloc) = task.cloc else {
-                    self.exec_locate(env, id, task, Resume::Action);
-                    return;
-                };
+                let cloc = task.cloc.expect("a bind locates before it acts");
                 let dest = NodeId::from_raw(node);
-                let name = task.spec.object.expect("move requires an object");
+                let name = task.spec.object;
                 if cloc == dest {
                     // Already at the target: the engine-level mirror of
                     // coercion to RPC.
@@ -324,22 +366,15 @@ impl MageNode {
                 replace,
             } => {
                 let dest = NodeId::from_raw(node);
-                let Some(object_id) = task.spec.object else {
-                    self.exec_fail(
-                        env,
-                        id,
-                        task,
-                        MageError::BadPlan("instantiate requires an object name".into()),
-                    );
-                    return;
-                };
                 if dest != me {
                     self.exec_instantiate_at(env, id, task, dest, false);
                 } else if !self.classes.contains(&task.spec.class) {
                     self.exec_fetch_class(env, id, task, me);
                 } else {
-                    let (class_name, object_name) =
-                        (self.name_str(task.spec.class), self.name_str(object_id));
+                    let (class_name, object_name) = (
+                        self.name_str(task.spec.class),
+                        self.name_str(task.spec.object),
+                    );
                     let policy = crate::node::HostPolicy {
                         visibility,
                         durability,
@@ -391,7 +426,7 @@ impl MageNode {
         };
         let args = proto::InstantiateArgs {
             class: task.spec.class,
-            name: task.spec.object.expect("instantiate has an object name"),
+            name: task.spec.object,
             state: state.clone(),
             visibility,
             durability,
@@ -462,17 +497,8 @@ impl MageNode {
             return;
         };
         let at = task.invoke_at.expect("invoke target resolved");
-        let Some(name) = task.spec.object else {
-            self.exec_fail(
-                env,
-                id,
-                task,
-                MageError::BadPlan("invocation requires an object name".into()),
-            );
-            return;
-        };
         let args = proto::InvokeArgsRef {
-            name,
+            name: task.spec.object,
             method: invoke.method,
             args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
@@ -504,9 +530,8 @@ impl MageNode {
             .or(task.cloc)
             .or(task.locked_at)
             .expect("somewhere");
-        let name = task.spec.object.expect("guarded ops have objects");
         let args = proto::UnlockArgs {
-            name,
+            name: task.spec.object,
             client: env.node().as_raw(),
         };
         env.call(
@@ -535,6 +560,7 @@ impl MageNode {
                 incarnation: task.cinc.unwrap_or(Incarnation::NONE),
                 result: task.result,
                 lock_kind: task.lock_kind,
+                coerced: task.coerced,
             }),
         );
     }
@@ -575,9 +601,10 @@ impl MageNode {
         {
             return Some(task);
         }
-        let (Some(name), Some(backup)) = (task.spec.object, task.spec.backup_hint) else {
+        let Some(backup) = task.spec.backup_hint else {
             return Some(task);
         };
+        let name = task.spec.object;
         task.restore_tried = true;
         let backup = NodeId::from_raw(backup);
         if backup == env.node() {
@@ -607,10 +634,11 @@ impl MageNode {
     }
 
     /// Resumes the ladder after a successful restore: the object now lives
-    /// at `found.location` under a fresh incarnation. Invoke-shaped
-    /// actions go straight to the invocation (mirroring the stale-location
-    /// retry path); move-shaped actions re-run the placement from the
-    /// restored location.
+    /// at `found.location` under a fresh incarnation. A guarded bind takes
+    /// its §4.4 lock there first (no lock is held on the restore path);
+    /// otherwise invoke-shaped actions go straight to the invocation
+    /// (mirroring the stale-location retry path) and move-shaped actions
+    /// re-run the placement from the restored location.
     fn exec_resume_after_restore(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -620,14 +648,15 @@ impl MageNode {
     ) {
         task.spec.location_hint = Some(found.location);
         if !task.spec.identity_pinned {
-            // Advisory identity re-resolves to the restored incarnation —
-            // recovery is fully transparent. Pinned stubs keep their
-            // expectation: the retry resolves to typed `StaleIdentity`
-            // and the session's explicit (or handle-level auto) rebind is
-            // the observable trace the recovery leaves.
+            // Advisory identity (binds, replicated or unpinned handles)
+            // re-resolves to the restored incarnation — recovery is fully
+            // transparent. Pinned stubs keep their expectation: the retry
+            // resolves to typed `StaleIdentity`, and the session's
+            // explicit rebind is the observable trace the recovery leaves.
             task.spec.expected_incarnation = Some(found.incarnation).filter(|inc| !inc.is_none());
         }
         let resume = match task.spec.action {
+            _ if task.spec.guard => Resume::Guard,
             ActionSpec::MoveTo { .. } => Resume::Action,
             _ => Resume::Invoke,
         };
@@ -691,6 +720,10 @@ impl MageNode {
                     self.exec_fetch_class(env, id, task, dest);
                 }
             }
+            (ExecPhase::AwaitFind { .. }, Err(e)) => {
+                let err = rmi_error_to_mage(&e);
+                self.exec_unlocated(env, id, task, err);
+            }
             (_, Err(e)) => {
                 let err = rmi_error_to_mage(&e);
                 self.exec_fail(env, id, task, err);
@@ -747,10 +780,8 @@ impl MageNode {
                         return;
                     }
                 };
-                if let Some(name) = task.spec.object {
-                    self.registry
-                        .update(CompKey::object(name), Located::new(dest, incarnation));
-                }
+                let key = CompKey::object(task.spec.object);
+                self.registry.update(key, Located::new(dest, incarnation));
                 task.cloc = Some(dest);
                 task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
                 task.invoke_at = Some(dest);

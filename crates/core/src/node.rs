@@ -180,13 +180,11 @@ pub struct MageNode {
     desk: SharedDesk,
 }
 
-/// A find parked while its object is in transit: either a remote call to
-/// answer over RMI, or a local driver operation to complete.
+/// A find parked while its object is in transit: a remote call to answer
+/// over RMI, or a local task (keyed by its token) to step with the reply.
 pub(crate) enum TransitFindWaiter {
-    /// Remote `mage.find` call awaiting a reply.
     Reply(ReplyHandle),
-    /// Driver-originated find issued at this node.
-    Op(OpId),
+    Task(u64),
 }
 
 impl MageNode {
@@ -250,6 +248,15 @@ impl MageNode {
         }
     }
 
+    /// Whether the keyed object is hosted here but mid-move.
+    pub(crate) fn in_transit(&self, key: CompKey) -> bool {
+        key.kind == Kind::Object
+            && self
+                .objects
+                .get(&key.id)
+                .is_some_and(|hosted| hosted.in_transit)
+    }
+
     /// The incarnation this namespace hosts for `key`
     /// ([`Incarnation::NONE`] for classes and absent objects).
     pub(crate) fn local_incarnation(&self, key: CompKey) -> Incarnation {
@@ -296,12 +303,7 @@ impl MageNode {
         if self.has_component(args.key) {
             return reply_ok(&self.local_find_reply(args.key, me));
         }
-        if args.key.kind == Kind::Object
-            && self
-                .objects
-                .get(&args.key.id)
-                .is_some_and(|hosted| hosted.in_transit)
-        {
+        if self.in_transit(args.key) {
             // Mid-move: park the find and answer once the transfer settles
             // (forwarding address is only valid after the receive ack).
             self.transit_finds
@@ -1196,7 +1198,7 @@ impl App for MageNode {
         for waiters in self.transit_finds.values_mut() {
             waiters.retain(|w| match w {
                 TransitFindWaiter::Reply(handle) => handle.caller() != peer,
-                TransitFindWaiter::Op(_) => true,
+                TransitFindWaiter::Task(_) => true,
             });
         }
         self.transit_finds.retain(|_, waiters| !waiters.is_empty());

@@ -14,7 +14,8 @@
 use mage_rmi::NameId;
 use serde::{Deserialize, Serialize};
 
-use crate::component::{Durability, Visibility};
+use crate::coercion::Coerced;
+use crate::component::{Durability, ModelKind, Visibility};
 use crate::error::MageError;
 use crate::lock::{HolderTransfer, LockKind};
 use crate::registry::{CompKey, Incarnation};
@@ -273,7 +274,8 @@ pub enum ActionSpec {
         /// Raw id of the namespace to invoke at.
         node: u32,
     },
-    /// Find the component and invoke wherever it currently is (CLE).
+    /// Invoke wherever the component currently is (CLE): the engine
+    /// rewrites it to `InvokeAt` once the bind has located the component.
     InvokeAtCurrent,
     /// Invoke on the locally hosted object (LPC / COD coerced to LPC).
     Local,
@@ -319,10 +321,11 @@ pub struct InvokeSpec {
 pub struct ExecSpec {
     /// Interned component class name.
     pub class: NameId,
-    /// Interned object name (`None` only for pure factory instantiation).
-    pub object: Option<NameId>,
-    /// Where the runtime believes the object currently is (from the find
-    /// step); lets the engine skip a second lookup.
+    /// Interned object name.
+    pub object: NameId,
+    /// Where the client believes the object currently is (a stub's or a
+    /// private object's location, or what the bind plan just found). A
+    /// bind without one finds the object before using it (§3.5).
     pub location_hint: Option<u32>,
     /// Which incarnation the client believes it is operating on (paired
     /// with `location_hint`; from the stub or the session cache).
@@ -348,6 +351,10 @@ pub struct ExecSpec {
     pub invoke: Option<InvokeSpec>,
     /// Bracket the operation with a stay/move lock (§4.4).
     pub guard: bool,
+    /// The bind's programming model (`None` for stub invocations and
+    /// creation): once the engine locates the component, Table 2
+    /// coercion rewrites `action` for this model.
+    pub model: Option<ModelKind>,
 }
 
 /// Commands the experiment driver hands a MAGE node (through the op
@@ -442,6 +449,8 @@ pub struct Outcome {
     pub result: Option<Vec<u8>>,
     /// Lock kind, for lock operations.
     pub lock_kind: Option<LockKind>,
+    /// How Table 2 coercion resolved a bind.
+    pub coerced: Coerced,
 }
 
 /// Maps a server-side fault into the corresponding [`MageError`].

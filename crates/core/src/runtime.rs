@@ -72,7 +72,9 @@ pub(crate) struct Directory {
     /// when a crash-shaped failure would otherwise surface.
     pub backups: BTreeMap<CompKey, NodeId>,
     /// Synthetic per-node load figures (read by custom attributes).
-    pub loads: BTreeMap<NodeId, f64>,
+    /// Shared with bind views, so a plan runs without a runtime borrow;
+    /// `set_load` copies on write.
+    pub loads: Rc<BTreeMap<NodeId, f64>>,
 }
 
 /// The mutable heart of a deployment, shared between the runtime and its
@@ -388,7 +390,7 @@ impl Runtime {
     /// Fails on unknown namespace names.
     pub fn set_load(&mut self, node: &str, load: f64) -> Result<(), MageError> {
         let id = self.node_id(node)?;
-        self.inner.borrow_mut().dir.loads.insert(id, load);
+        Rc::make_mut(&mut self.inner.borrow_mut().dir.loads).insert(id, load);
         Ok(())
     }
 

@@ -14,6 +14,12 @@
 //! blocking form is its `_async` form followed by `wait`; only object
 //! creation, which has no async form, waits inline.
 //!
+//! A bind only issues. It consults its attribute once and hands the
+//! engine the plan's default behaviour; the engine then finds the object
+//! (a shared object "must be found before use"), applies Table 2 coercion
+//! and places it. The one find a session itself runs is the one a plan
+//! asks for through [`BindView::location`] on a shared object.
+//!
 //! ```
 //! use mage_core::attribute::Rev;
 //! use mage_core::workload_support::{methods, test_object_class};
@@ -39,7 +45,7 @@
 //! # }
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -49,9 +55,9 @@ use mage_sim::NodeId;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
-use crate::attribute::{BindView, MobilityAttribute, Mode, Target};
+use crate::attribute::{BindPlan, BindView, MobilityAttribute, Mode, Target};
 use crate::class::Method;
-use crate::coercion::{coerce, Coerced, Situation};
+use crate::coercion::Coerced;
 use crate::component::{Durability, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
@@ -141,7 +147,6 @@ pub(crate) struct BindContext {
     class: NameId,
     object_name: Arc<str>,
     class_name: Arc<str>,
-    coerced: Coerced,
     is_factory: bool,
 }
 
@@ -173,7 +178,7 @@ impl BindContext {
                 home: dir.homes.get(&key).copied(),
                 incarnation: outcome.incarnation,
             },
-            coerced: self.coerced,
+            coerced: outcome.coerced,
             lock_kind: outcome.lock_kind,
             result: outcome.result,
         }
@@ -321,7 +326,7 @@ impl Session {
         let target = match &mobility {
             None => self.client,
             Some(attr) => {
-                let plan = self.plan_with(attr.as_ref(), None)?;
+                let (plan, _) = self.consult(attr.as_ref(), &|| None)?;
                 match plan.target {
                     Target::Client | Target::Current => self.client,
                     Target::Node(ref node) => self.node_id(node)?,
@@ -372,7 +377,7 @@ impl Session {
                 .map(|n| n.as_raw());
             let exec = ExecSpec {
                 class: class_id,
-                object: Some(object_id),
+                object: object_id,
                 location_hint: None,
                 expected_incarnation: None,
                 identity_pinned: false,
@@ -389,6 +394,7 @@ impl Session {
                 },
                 invoke: None,
                 guard: false,
+                model: None,
             };
             self.command(Command::Execute(exec))?
         };
@@ -497,9 +503,9 @@ impl Session {
 
     /// Binds a mobility attribute, returning a stub.
     ///
-    /// This is the paper's `o = ma.bind()` (§3.1): find the component,
-    /// consult the attribute's plan, apply mobility coercion, and run the
-    /// resulting placement protocol.
+    /// This is the paper's `o = ma.bind()` (§3.1): consult the
+    /// attribute's plan, find the component, apply mobility coercion, and
+    /// run the resulting placement protocol.
     ///
     /// # Errors
     ///
@@ -518,16 +524,21 @@ impl Session {
         self.bind_with(attr, None, Ok)?.wait()
     }
 
-    /// Starts a bind without blocking on the placement protocol.
+    /// Starts a bind without blocking.
     ///
-    /// The bind *plan* (locating the component, consulting the attribute,
-    /// applying coercion) resolves eagerly — it may cost one synchronous
-    /// find round-trip — but the placement protocol itself runs
-    /// asynchronously, so many binds can be in flight at once.
+    /// Issuing consults the attribute's plan once and sends the bind off;
+    /// it takes no virtual time and sends no message. Finding the
+    /// component, coercion and placement all run in the engine, so many
+    /// binds can be in flight at once. The one exception is a plan that
+    /// itself calls [`BindView::location`] on a shared object (a custom
+    /// policy, or a single-use factory after its first instantiation): it
+    /// pays for that find before this returns.
     ///
     /// # Errors
     ///
-    /// Same as [`Session::bind`] for planning-stage failures.
+    /// Same as [`Session::bind`] for planning-stage failures (the plan's
+    /// own errors, unknown namespaces); everything else surfaces from
+    /// [`Pending::wait`].
     pub fn bind_async(&self, attr: &dyn MobilityAttribute) -> Result<Pending<Stub>, MageError> {
         self.bind_with(attr, None, |receipt| Ok(receipt.stub))
     }
@@ -589,33 +600,34 @@ impl Session {
         Ok(self.issue(Command::Execute(spec), Completion::Bind { ctx, decode }))
     }
 
-    /// Consults the attribute's plan against a view of the system with the
-    /// given location knowledge.
-    fn plan_with(
+    /// Consults the attribute's plan once. `locate` answers the view's
+    /// `location()` the first time the plan asks; returns the plan and
+    /// that location, if asked. The view shares snapshots of the
+    /// directory instead of borrowing the runtime, because a find run by
+    /// `locate` runs the world.
+    fn consult(
         &self,
         attr: &dyn MobilityAttribute,
-        location: Option<NodeId>,
-    ) -> Result<crate::attribute::BindPlan, MageError> {
-        let inner = self.inner.borrow();
-        let view = BindView::new(
-            self.client,
-            location,
-            &inner.ids,
-            &inner.dir.loads,
-            inner.world.now(),
-        );
-        attr.plan(&view)
+        locate: &dyn Fn() -> Option<NodeId>,
+    ) -> Result<(BindPlan, Option<NodeId>), MageError> {
+        let (ids, loads, now) = {
+            let inner = self.inner.borrow();
+            let loads = Rc::clone(&inner.dir.loads);
+            (Arc::clone(&inner.ids), loads, inner.world.now())
+        };
+        let view = BindView::lazy(self.client, locate, &ids, &loads, now);
+        let plan = attr.plan(&view)?;
+        Ok((plan, view.resolved()))
     }
 
-    /// Resolves an attribute's plan into an executable spec, using this
-    /// session's cached knowledge (the client half of the old monolithic
-    /// bind).
+    /// Turns an attribute's plan into an executable spec. The session only
+    /// issues: finding the object, Table 2 coercion and resolving
+    /// `Target::Current` are the engine's first steps once the bind runs.
     fn plan_exec(
         &self,
         attr: &dyn MobilityAttribute,
         invoke: Option<InvokeSpec>,
     ) -> Result<(ExecSpec, BindContext), MageError> {
-        let client_id = self.client;
         let component = attr.component();
         let base_name = component
             .object_name()
@@ -624,160 +636,73 @@ impl Session {
         let base_key = CompKey::object(base_id);
         let class_id = self.syms.intern(component.class_name());
 
-        // Preliminary plan using cached knowledge (private objects'
-        // cached location is authoritative, §3.5). A fresh session falls
-        // back to the shared directory's origin-server knowledge for
-        // private objects ("clients share the name of the mobile object's
-        // origin server", §7); if the attribute's plan still needs a
-        // location, locate it and plan again.
-        let cached = self
-            .state
-            .borrow()
-            .cached_loc
-            .get(&base_key)
-            .map(|entry| entry.node)
-            .or_else(|| {
-                let inner = self.inner.borrow();
-                match inner.dir.visibility.get(&base_id) {
-                    Some(Visibility::Private) => inner.dir.homes.get(&base_key).copied(),
-                    _ => None,
-                }
-            });
-        let mut did_find = false;
-        let mut plan = match self.plan_with(attr, cached) {
-            Ok(plan) => plan,
-            // Only a location-shaped failure justifies finding and
-            // re-planning; other plan errors (and any error once a
-            // location was already known) surface untouched, without
-            // consulting a stateful planner a second time.
-            Err(MageError::NotFound(missing)) if cached.is_none() => {
-                let Ok(loc) = self.find_key_async(base_key).wait() else {
-                    return Err(MageError::NotFound(missing));
-                };
-                did_find = true;
-                self.plan_with(attr, Some(loc))?
-            }
-            Err(err) => return Err(err),
+        // A private object's cached location is authoritative, else its
+        // origin server ("clients share the name of the mobile object's
+        // origin server", §7); asking costs nothing. A shared object's
+        // location costs a find (§3.5), run only if the plan asks.
+        let belief = {
+            let inner = self.inner.borrow();
+            let private = inner.dir.visibility.get(&base_id) == Some(&Visibility::Private);
+            private.then(|| {
+                let cached = self
+                    .state
+                    .borrow()
+                    .cached_loc
+                    .get(&base_key)
+                    .map(|e| e.node);
+                cached.or_else(|| inner.dir.homes.get(&base_key).copied())
+            })
         };
-        let located = if did_find {
-            self.state
-                .borrow()
-                .cached_loc
-                .get(&base_key)
-                .map(|entry| entry.node)
-        } else {
-            cached
-        };
-
-        let is_factory = matches!(plan.mode, Mode::Factory { .. });
-        let location = if is_factory {
-            None // a fresh instance is about to be created
-        } else {
-            let public = self
-                .inner
-                .borrow()
-                .dir
-                .visibility
-                .get(&base_id)
-                .copied()
-                .unwrap_or(Visibility::Public)
-                == Visibility::Public;
-            let known = if did_find {
-                located // just found; don't pay a second lookup
-            } else if public || located.is_none() {
-                // Shared objects may have been moved by another session and
-                // must be found before use (§3.5).
-                match self.find_key_async(base_key).wait() {
-                    Ok(loc) => Some(loc),
-                    Err(MageError::NotFound(_)) => None,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                located
-            };
-            if !did_find && known != cached {
-                plan = self.plan_with(attr, known)?;
-            }
-            known
-        };
-
-        // Resolve the plan's target to a node.
-        let target = match &plan.target {
-            Target::Client => Some(client_id),
-            Target::Node(name) => Some(self.node_id(name)?),
-            Target::Current => location,
-        };
-        let classify_target = match &plan.target {
-            Target::Current => None,
-            _ => target,
-        };
-        let situation = Situation::classify(client_id, classify_target, location);
-        let coerced = coerce(attr.model(), situation)?;
-
-        let action = match coerced {
-            Coerced::AsLpc => ActionSpec::Local,
-            Coerced::AsRpc => ActionSpec::InvokeAt {
-                node: location
-                    .expect("coerced to RPC implies a located component")
-                    .as_raw(),
+        // Only `NotFound` reads as "absent"; any other find failure (a
+        // partition, a dead hop) fails the bind typed, so a single-use
+        // factory never re-creates an instance that is merely unreachable.
+        let find_err = Cell::new(None);
+        let consulted = self.consult(attr, &|| match belief {
+            Some(private) => private,
+            None => match self.find_key_async(base_key).wait() {
+                Err(MageError::NotFound(_)) => None,
+                found => found.map_err(|e| find_err.set(Some(e))).ok(),
             },
-            Coerced::Proceed => match plan.mode.clone() {
-                Mode::Stationary => match &plan.target {
-                    Target::Client => ActionSpec::Local,
-                    Target::Node(_) => ActionSpec::InvokeAt {
-                        node: target.expect("named target resolved").as_raw(),
-                    },
-                    Target::Current => match location {
-                        Some(loc) => ActionSpec::InvokeAt { node: loc.as_raw() },
-                        None => return Err(MageError::NotFound(base_name.to_owned())),
-                    },
-                },
-                Mode::Move => {
-                    let dest =
-                        target.ok_or_else(|| MageError::BadPlan("move needs a target".into()))?;
-                    if location.is_none() {
-                        return Err(MageError::NotFound(base_name.to_owned()));
-                    }
-                    ActionSpec::MoveTo {
-                        node: dest.as_raw(),
-                    }
-                }
-                Mode::Factory { state, visibility } => {
-                    self.inner
-                        .borrow_mut()
-                        .dir
-                        .visibility
-                        .insert(base_id, visibility);
-                    // Attribute factories declare no durability policy of
-                    // their own (policy-bearing creation goes through
-                    // `Session::create`) and keep RMI-style rebind
-                    // semantics: a fresh instance replaces a predecessor.
-                    ActionSpec::Instantiate {
-                        node: target.unwrap_or(client_id).as_raw(),
-                        state,
-                        visibility,
-                        durability: Durability::Volatile,
-                        backup: None,
-                        replace: true,
-                    }
-                }
-            },
-        };
-
-        // Identity expectation: whatever location this plan settled on,
-        // if the session's cache agrees on the node it also knows which
-        // incarnation it expects to find there. An invocation reaching a
-        // different incarnation resolves to `StaleIdentity`.
-        let expected_incarnation = location.and_then(|loc| {
-            self.state
-                .borrow()
-                .cached_loc
-                .get(&base_key)
-                .copied()
-                .filter(|entry| entry.node == loc)
-                .map(|entry| entry.incarnation)
-                .filter(|inc| !inc.is_none())
         });
+        let (plan, found) = find_err.take().map_or(consulted, Err)?;
+        let location = belief.unwrap_or(found);
+
+        let target = match &plan.target {
+            Target::Node(name) => self.node_id(name)?,
+            // `Current` names a node only for a factory: the new instance
+            // is born here.
+            Target::Client | Target::Current => self.client,
+        }
+        .as_raw();
+        let is_factory = matches!(plan.mode, Mode::Factory { .. });
+        // The plan's default behaviour; the engine coerces it (Table 2)
+        // once it knows where the object is.
+        let action = match plan.mode {
+            _ if plan.target == Target::Current && !is_factory => ActionSpec::InvokeAtCurrent,
+            Mode::Stationary if plan.target == Target::Client => ActionSpec::Local,
+            Mode::Stationary => ActionSpec::InvokeAt { node: target },
+            Mode::Move => ActionSpec::MoveTo { node: target },
+            Mode::Factory { state, visibility } => {
+                self.inner
+                    .borrow_mut()
+                    .dir
+                    .visibility
+                    .insert(base_id, visibility);
+                // Attribute factories declare no durability policy of
+                // their own (policy-bearing creation goes through
+                // `Session::create`) and keep RMI-style rebind
+                // semantics: a fresh instance replaces a predecessor.
+                ActionSpec::Instantiate {
+                    node: target,
+                    state,
+                    visibility,
+                    durability: Durability::Volatile,
+                    backup: None,
+                    replace: true,
+                }
+            }
+        };
+
         let inner = self.inner.borrow();
         let spec = ExecSpec {
             class: class_id,
@@ -786,9 +711,9 @@ impl Session {
             // (RMI-style rebind); that is how the paper's REV factory
             // creates `geoData` on `sensor1` for later attributes to bind
             // to (§3.6).
-            object: Some(base_id),
+            object: base_id,
             location_hint: location.map(|n| n.as_raw()),
-            expected_incarnation,
+            expected_incarnation: None,
             identity_pinned: false,
             home_hint: inner
                 .dir
@@ -800,16 +725,16 @@ impl Session {
             action,
             invoke,
             guard: plan.guard,
+            model: Some(attr.model()),
         };
         Ok((
             spec,
             BindContext {
-                client: client_id,
+                client: self.client,
                 object: base_id,
                 class: class_id,
                 object_name: self.name_of(base_id),
                 class_name: self.name_of(class_id),
-                coerced,
                 is_factory,
             },
         ))
@@ -878,7 +803,7 @@ impl Session {
             .unwrap_or(stub.at);
         let spec = ExecSpec {
             class: stub.class,
-            object: Some(stub.object),
+            object: stub.object,
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
@@ -897,6 +822,7 @@ impl Session {
                 one_way: false,
             }),
             guard: false,
+            model: None,
         };
         self.issue(
             Command::Execute(spec),
@@ -910,24 +836,22 @@ impl Session {
     /// Invokes a typed method through an [`ObjectHandle`], applying its
     /// policy set.
     ///
-    /// For a [`Durability::Replicated`] handle, a typed
-    /// [`MageError::StaleIdentity`] — the trace a crash-restore (or a
-    /// re-creation) leaves on pinned stubs — triggers one automatic
-    /// rebind-and-retry: the handle re-binds to the incarnation now
-    /// answering to the name (the restored object, state intact) and the
-    /// call repeats. Unpinned handles never see the stale identity at all
-    /// — the engine re-resolves identity in place. Volatile pinned
-    /// handles surface `StaleIdentity` exactly like a bare stub, because
-    /// a volatile successor shares only the name, not the state.
+    /// A [`Durability::Replicated`] handle's identity is advisory: when a
+    /// crash-restore (or a re-creation) re-mints the object's incarnation,
+    /// the engine re-resolves identity in place and the call reaches the
+    /// restored object, state intact. Pinning matters only for volatile
+    /// objects: a pinned volatile handle surfaces
+    /// [`MageError::StaleIdentity`] exactly like a bare stub, because a
+    /// volatile successor shares only the name, not the state.
     ///
     /// The handle's location and incarnation are refreshed from whatever
     /// the call learned.
     ///
     /// # Errors
     ///
-    /// Propagates invocation faults and marshalling failures; the rebind
-    /// path surfaces [`MageError::NotFound`] when nothing answers to the
-    /// name anymore (e.g. the backup home died too).
+    /// Propagates invocation faults and marshalling failures, including
+    /// [`MageError::NotFound`] when nothing answers to the name anymore
+    /// (e.g. the backup home died too).
     pub fn call_handle<A, R>(
         &self,
         handle: &mut ObjectHandle,
@@ -940,37 +864,20 @@ impl Session {
     {
         let method = self.syms.intern(method.name());
         let bytes = mage_codec::to_bytes(args)?;
-        let first = self
-            .invoke(&handle.stub, method, bytes, handle.pinned)
-            .wait();
-        let out = match first {
-            Err(MageError::StaleIdentity { .. }) if handle.durability.is_replicated() => {
-                let fresh = self.rebind(&handle.stub)?;
-                handle.stub = fresh;
-                self.inner.borrow_mut().world.bump_metric("auto_rebinds");
-                // The rare retry marshals the arguments again rather than
-                // every call keeping a copy for it.
-                let bytes = mage_codec::to_bytes(args)?;
-                self.invoke(&handle.stub, method, bytes, handle.pinned)
-                    .wait()?
-            }
-            other => other?,
-        };
-        self.refresh_handle(handle);
-        Ok(out)
-    }
-
-    /// Updates a handle's stub from the session cache (location always;
-    /// incarnation only for unpinned handles, where identity tracking is
-    /// the engine's job, not the caller's).
-    fn refresh_handle(&self, handle: &mut ObjectHandle) {
+        let out = self
+            .invoke(&handle.stub, method, bytes, handle.is_pinned())
+            .wait()?;
+        // Refresh the handle from the session cache: location always,
+        // incarnation only where identity is advisory (tracking it is
+        // then the engine's job, not the caller's).
         let key = CompKey::object(handle.stub.object);
         if let Some(entry) = self.state.borrow().cached_loc.get(&key) {
             handle.stub.at = entry.node;
-            if !handle.pinned && !entry.incarnation.is_none() {
+            if !handle.is_pinned() && !entry.incarnation.is_none() {
                 handle.stub.incarnation = entry.incarnation;
             }
         }
+        Ok(out)
     }
 
     // ---- locking (§4.4) ----

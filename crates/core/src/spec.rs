@@ -31,8 +31,7 @@
 //!         .class("TestObject")
 //!         .state(&())
 //!         .durability(Durability::Replicated { backups: 1 })
-//!         .backup("sensor1")
-//!         .pinned(true),
+//!         .backup("sensor1"),
 //! )?;
 //! assert_eq!(lab.call_handle(&mut counter, methods::INC, &())?, 1);
 //! # Ok(())
@@ -129,11 +128,12 @@ impl ObjectSpec {
     }
 
     /// Whether stubs derived from the returned handle pin identity
-    /// (default `true`). Pinned stubs resolve to a typed
-    /// [`MageError::StaleIdentity`] when the incarnation they were bound
-    /// to is gone — [`Session::call_handle`](crate::Session::call_handle)
-    /// then auto-rebinds replicated handles. Unpinned handles let the
-    /// engine re-resolve identity silently (recovery is invisible).
+    /// (default `true`). Pinning matters only for volatile objects: a
+    /// pinned stub resolves to a typed [`MageError::StaleIdentity`] when
+    /// the incarnation it was bound to is gone. A replicated object's
+    /// identity is advisory, since its restored successor carries its
+    /// state, so [`Session::call_handle`](crate::Session::call_handle)
+    /// follows a restore in place, and so does every unpinned handle.
     #[must_use]
     pub fn pinned(mut self, pinned: bool) -> Self {
         self.pinned = pinned;
@@ -173,8 +173,9 @@ impl std::fmt::Debug for ObjectSpec {
 /// `(NameId, Incarnation)`) plus the policy set it was created under.
 ///
 /// Unlike a bare [`Stub`], a handle knows its durability policy, so
-/// [`Session::call_handle`](crate::Session::call_handle) can turn the
-/// `StaleIdentity` a crash-restore leaves behind into an automatic rebind.
+/// [`Session::call_handle`](crate::Session::call_handle) follows a
+/// replicated object through a crash-restore (the engine re-resolves its
+/// identity in place) instead of surfacing `StaleIdentity`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObjectHandle {
     pub(crate) stub: Stub,
@@ -209,9 +210,9 @@ impl ObjectHandle {
     }
 
     /// The incarnation this handle is currently bound to (changes only
-    /// through rebinds — including the automatic one
-    /// [`Session::call_handle`](crate::Session::call_handle) performs for
-    /// replicated objects after a crash-restore).
+    /// where identity is advisory: after
+    /// [`Session::call_handle`](crate::Session::call_handle) reached a
+    /// restored replicated object, or through an unpinned handle).
     pub fn incarnation(&self) -> Incarnation {
         Incarnation::from_raw(self.stub.incarnation())
     }
@@ -221,9 +222,12 @@ impl ObjectHandle {
         self.durability
     }
 
-    /// Whether invocations through this handle pin identity.
+    /// Whether invocations through this handle pin identity. Only a
+    /// volatile object's can: a replicated object's identity is advisory,
+    /// because its restored successor carries its state, so this is
+    /// `false` for replicated handles whatever [`ObjectSpec::pinned`] said.
     pub fn is_pinned(&self) -> bool {
-        self.pinned
+        self.pinned && !self.durability.is_replicated()
     }
 
     /// Borrows the underlying stub (for the stub-level `Session` API).

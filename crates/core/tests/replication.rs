@@ -1,8 +1,8 @@
 //! Integration tests for the durability policy: replicated objects
 //! checkpoint to a fixed backup home and survive their host's crash as a
-//! fresh incarnation restored at the backup — observable on pinned stubs
-//! only as a typed `StaleIdentity` followed by a (possibly automatic)
-//! rebind.
+//! fresh incarnation restored at the backup. A replicated handle follows
+//! the restore in place; a bare pinned stub observes it as a typed
+//! `StaleIdentity` followed by an explicit rebind.
 
 use mage_core::attribute::Rev;
 use mage_core::workload_support::{methods, test_object_class};
@@ -27,7 +27,7 @@ fn replicated_counter(backup: &str) -> ObjectSpec {
 }
 
 #[test]
-fn crash_restores_state_at_backup_and_rebinds_pinned_handle() {
+fn crash_restores_state_at_backup_and_pinned_handle_follows_without_refusal() {
     let mut rt = world(&["a", "b", "c"]);
     let a = rt.session("a").unwrap();
     let mut handle = a.create(replicated_counter("b")).unwrap();
@@ -48,15 +48,20 @@ fn crash_restores_state_at_backup_and_rebinds_pinned_handle() {
     rt.crash("a").unwrap();
 
     // The engine consults the backup, restores at b (fresh incarnation),
-    // and call_handle turns the StaleIdentity into an auto-rebind: the
-    // counter continues from its checkpointed state.
+    // and re-resolves the replicated handle's identity in place: no
+    // refusal is left behind, and the counter continues from its
+    // checkpointed state.
+    let refusals_before = rt.world().metrics().counter("stale_identity_refusals");
     assert_eq!(c.call_handle(&mut theirs, methods::INC, &()).unwrap(), 5);
+    assert_eq!(
+        rt.world().metrics().counter("stale_identity_refusals"),
+        refusals_before
+    );
     assert_ne!(theirs.incarnation(), before, "restore re-mints identity");
     assert_eq!(rt.node_name(theirs.location()), Some("b"));
     let world = rt.world();
     assert!(world.metrics().counter("snapshot_restores") >= 1);
     assert!(world.metrics().counter("snapshots_stored") >= 4);
-    assert!(world.metrics().counter("auto_rebinds") >= 1);
 }
 
 #[test]
@@ -75,10 +80,35 @@ fn unpinned_handle_recovers_transparently() {
     // Unpinned identity is advisory: the engine re-resolves against the
     // restored incarnation in place — no StaleIdentity ever surfaces, no
     // explicit rebind happens.
-    let rebinds_before = rt.world().metrics().counter("auto_rebinds");
+    let refusals_before = rt.world().metrics().counter("stale_identity_refusals");
     assert_eq!(c.call_handle(&mut theirs, methods::INC, &()).unwrap(), 2);
-    assert_eq!(rt.world().metrics().counter("auto_rebinds"), rebinds_before);
+    assert_eq!(
+        rt.world().metrics().counter("stale_identity_refusals"),
+        refusals_before
+    );
     assert_eq!(rt.node_name(theirs.location()), Some("b"));
+}
+
+#[test]
+fn guarded_bind_after_host_crash_locks_at_the_restored_object() {
+    let mut rt = world(&["a", "b", "c"]);
+    let a = rt.session("a").unwrap();
+    let mut handle = a.create(replicated_counter("b")).unwrap();
+    for want in 1..=2 {
+        assert_eq!(a.call_handle(&mut handle, methods::INC, &()).unwrap(), want);
+    }
+    rt.crash("a").unwrap();
+
+    // The bind's walk dies with `a`; the backup restores the object at b,
+    // and the guarded bind still takes its §4.4 lock there before moving.
+    let c = rt.session("c").unwrap();
+    let receipt = c
+        .bind_full(&Rev::new("TestObject", "counter", "c").guarded())
+        .unwrap();
+    assert!(receipt.lock_kind.is_some(), "{receipt:?}");
+    assert_eq!(rt.node_name(receipt.stub.location()), Some("c"));
+    assert_eq!(c.call(&receipt.stub, methods::INC, &()).unwrap(), 3);
+    assert!(rt.world().metrics().counter("snapshot_restores") >= 1);
 }
 
 #[test]

@@ -2,9 +2,14 @@
 //! concurrent sessions against one world, typed `Pending<T>` semantics,
 //! and compile-time method descriptors.
 
-use mage_core::attribute::{Grev, Rpc};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+use mage_core::attribute::{
+    BindPlan, Cle, Cod, Grev, MobileAgent, MobilityAttribute, PolicyAttribute, Rev, Rpc,
+};
 use mage_core::workload_support::{methods, test_object_class};
-use mage_core::{LockKind, Method, ObjectSpec, Runtime};
+use mage_core::{LockKind, Method, ObjectSpec, Runtime, Visibility};
 
 fn runtime() -> Runtime {
     let mut rt = Runtime::builder()
@@ -153,4 +158,146 @@ fn self_find_during_own_move_resolves_to_destination() {
     let stub = mv.wait().unwrap();
     assert_eq!(rt.node_name(stub.location()), Some("c1"));
     assert_eq!(find.wait().unwrap(), rt.node_id("c1").unwrap());
+}
+
+/// One of each built-in plan the issue-only property covers, bound to
+/// `object` (REV and guarded REV, GREV and MA target `c2`; RPC expects the
+/// object where it was created).
+fn builtin_attrs(object: &str) -> Vec<Box<dyn MobilityAttribute>> {
+    vec![
+        Box::new(Rev::new("TestObject", object, "c2")),
+        Box::new(Rev::new("TestObject", object, "c2").guarded()),
+        Box::new(Grev::new("TestObject", object, "c2")),
+        Box::new(Cod::new("TestObject", object)),
+        Box::new(Cle::new("TestObject", object)),
+        Box::new(MobileAgent::new("TestObject", object, "c2")),
+        Box::new(Rpc::new("TestObject", object, "host")),
+    ]
+}
+
+#[test]
+fn async_binds_only_issue() {
+    // Issuing a built-in bind sends nothing and takes no virtual time,
+    // for shared and private objects alike: finding the object is the
+    // engine's first step once the world runs, not the issuer's.
+    for (object, visibility) in [
+        ("shared", Visibility::Public),
+        ("mine", Visibility::Private),
+    ] {
+        for invoke in [false, true] {
+            for i in 0..builtin_attrs(object).len() {
+                let rt = runtime();
+                rt.session("host")
+                    .unwrap()
+                    .create(
+                        ObjectSpec::new("mine")
+                            .class("TestObject")
+                            .visibility(Visibility::Private),
+                    )
+                    .unwrap();
+                let c1 = rt.session("c1").unwrap();
+                let attr = &builtin_attrs(object)[i];
+                let (now, sent) = (rt.now(), rt.world().metrics().net.sent);
+                if invoke {
+                    let pending = c1.bind_invoke_async(attr.as_ref(), methods::INC, &());
+                    assert!(pending.is_ok(), "{} {visibility:?}", attr.name());
+                } else {
+                    let pending = c1.bind_async(attr.as_ref());
+                    assert!(pending.is_ok(), "{} {visibility:?}", attr.name());
+                }
+                let what = format!("{} on a {visibility:?} object", attr.name());
+                assert_eq!(rt.now(), now, "{what} advanced virtual time");
+                assert_eq!(rt.world().metrics().net.sent, sent, "{what} sent messages");
+            }
+        }
+    }
+}
+
+/// Session c1 caches `shared` at `host`, then session c2 moves it to `c2`
+/// behind c1's back.
+fn moved_behind_c1s_back() -> (Runtime, mage_core::Session) {
+    let rt = runtime();
+    let c1 = rt.session("c1").unwrap();
+    assert_eq!(c1.find("shared").unwrap(), rt.node_id("host").unwrap());
+    let c2 = rt.session("c2").unwrap();
+    c2.bind(&Rev::new("TestObject", "shared", "c2")).unwrap();
+    (rt, c1)
+}
+
+#[test]
+fn a_bind_consults_its_planner_once() {
+    let (_rt, c1) = moved_behind_c1s_back();
+    let calls = Rc::new(Cell::new(0u32));
+    let counter = Rc::clone(&calls);
+    let attr = PolicyAttribute::new("Counting", "TestObject", "shared", move |_| {
+        counter.set(counter.get() + 1);
+        Ok(BindPlan::stay())
+    });
+    c1.bind(&attr).unwrap();
+    assert_eq!(calls.get(), 1, "a stale cache must not re-run the planner");
+}
+
+#[test]
+fn a_plan_sees_the_shared_objects_current_location() {
+    let (rt, c1) = moved_behind_c1s_back();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let record = Rc::clone(&seen);
+    let attr = PolicyAttribute::new("Recording", "TestObject", "shared", move |view| {
+        record.borrow_mut().push(view.location());
+        Ok(BindPlan::stay())
+    });
+    let stub = c1.bind(&attr).unwrap();
+    let c2 = rt.node_id("c2").unwrap();
+    assert_eq!(*seen.borrow(), vec![Some(c2)], "found once, before use");
+    assert_eq!(stub.location(), c2);
+}
+
+#[test]
+fn single_use_factory_recreates_a_vanished_instance() {
+    let mut rt = runtime();
+    let c1 = rt.session("c1").unwrap();
+    let attr = Rev::single_use("TestObject", "probe", "c2");
+    let (stub, n) = c1.bind_invoke(&attr, methods::INC, &()).unwrap();
+    assert_eq!((rt.node_name(stub.location()), n), (Some("c2"), Some(1)));
+    let (_, n) = c1.bind_invoke(&attr, methods::INC, &()).unwrap();
+    assert_eq!(n, Some(2), "a live instance is moved, not re-created");
+    // The instance dies with its host; the next bind must notice (its plan
+    // asks where the instance is) and instantiate afresh.
+    rt.crash("c2").unwrap();
+    rt.restart("c2").unwrap();
+    let (stub, n) = c1.bind_invoke(&attr, methods::INC, &()).unwrap();
+    assert_eq!((rt.node_name(stub.location()), n), (Some("c2"), Some(1)));
+}
+
+#[test]
+fn single_use_factory_does_not_recreate_an_unreachable_instance() {
+    let mut rt = Runtime::builder()
+        .nodes(["host", "c1", "c2", "far"])
+        .class(test_object_class())
+        .build();
+    rt.deploy_class("TestObject", "host").unwrap();
+    let c1 = rt.session("c1").unwrap();
+    let attr = Rev::single_use("TestObject", "probe", "c2");
+    let (_, n) = c1.bind_invoke(&attr, methods::INC, &()).unwrap();
+    assert_eq!(n, Some(1));
+    let (_, n) = rt
+        .session("host")
+        .unwrap()
+        .bind_invoke(&Rev::new("TestObject", "probe", "far"), methods::INC, &())
+        .unwrap();
+    assert_eq!(n, Some(2));
+    // The instance is alive at `far`, only out of reach of c1 and of the
+    // forwarding pointer c1 knows (`c2`): the plan's find must fail the
+    // bind typed, not read as "vanished" and instantiate a second live
+    // copy at `c2`.
+    rt.partition_between("c1", "far").unwrap();
+    rt.partition_between("c2", "far").unwrap();
+    let err = c1.bind_invoke(&attr, methods::INC, &()).unwrap_err();
+    assert!(
+        matches!(err, mage_core::MageError::Unreachable { .. }),
+        "{err:?}"
+    );
+    // A copy at `c2` would answer `c2`'s own find locally.
+    let at_c2 = rt.session("c2").unwrap().find("probe");
+    assert_ne!(at_c2.ok(), Some(rt.node_id("c2").unwrap()), "fresh copy");
 }

@@ -11,9 +11,10 @@
 //!   either reaches *that* object or resolves to
 //!   [`MageError::StaleIdentity`]; a re-created same-name object never
 //!   silently serves a stale stub's calls. Rebinding is an explicit act
-//!   ([`Session::rebind`] — or the policy-aware automatic rebind of
-//!   [`Session::call_handle`] on replicated handles), and this workload
-//!   performs (and counts) both.
+//!   ([`Session::rebind`]), and this workload performs (and counts) it.
+//!   Only a replicated object's identity is advisory: its restored
+//!   successor carries its state, so [`Session::call_handle`] follows a
+//!   restore in place instead of surfacing a refusal.
 //! * **Durable recovery** — the `Durability::Replicated` object survives
 //!   crashes of whatever node hosts it: its state is restored from the
 //!   backup home's snapshot, and the soak counts full
@@ -83,7 +84,7 @@ pub struct ChaosConfig {
     pub midflight_percent: u8,
     /// Percent of operations that are policy-handle invocations of the
     /// `Durability::Replicated` object (the crash-recovery surface:
-    /// checkpoints, restores, auto-rebinds).
+    /// checkpoints, restores, handles following restores).
     pub durable_percent: u8,
     /// Record a full trace and check protocol invariants over it.
     pub check_invariants: bool,
@@ -141,7 +142,7 @@ pub struct ChaosReport {
     /// Policy-handle invocations of the replicated object driven.
     pub durable_ops: usize,
     /// Crash→restore→rebind recoveries observed through a durable
-    /// handle: the call succeeded after an automatic rebind to a fresh
+    /// handle: the call succeeded and the handle now names a fresh
     /// incarnation (state served from the backup snapshot).
     pub durable_recoveries: usize,
     /// Times the replicated object was truly lost (primary *and* backup
@@ -157,7 +158,7 @@ pub struct ChaosReport {
     pub stale_lock_refusals: u64,
     /// World metric: responses to a dead incarnation dropped on receipt.
     pub stale_replies_dropped: u64,
-    /// World metric: stub rebinds (explicit and handle-automatic).
+    /// World metric: explicit stub rebinds.
     pub world_rebinds: u64,
     /// Fault actions applied.
     pub crashes: usize,
@@ -490,9 +491,10 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
             }
         } else if kind < dur_hi {
             // Policy-handle invocation of the replicated object: the
-            // crash-recovery surface. A crash of its host shows up as a
-            // StaleIdentity that `call_handle` resolves by automatic
-            // rebind — the restored object serves its checkpointed state.
+            // crash-recovery surface. After a crash of its host the engine
+            // restores it from the backup and `call_handle` follows the
+            // fresh incarnation — the restored object serves its
+            // checkpointed state.
             report.durable_ops += 1;
             if handles[client].is_none() {
                 handles[client] = session
@@ -509,7 +511,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
                         Ok(v) => {
                             if handle.incarnation() != before {
                                 // The call outlived a crash of the
-                                // object's host: restore + auto-rebind.
+                                // object's host: restore + rebind.
                                 report.durable_recoveries += 1;
                                 fold(&mut report.digest, 0xD0B1);
                             }
@@ -622,7 +624,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
                 report.stale_identity += 1;
                 // The typed refusal arrived; recovery is an *explicit*
                 // rebind to whatever answers to the name now. (Durable
-                // handle ops auto-rebind inside call_handle; a
+                // handles re-resolve identity inside the engine; a
                 // StaleIdentity escaping one has already dropped the
                 // handle above.)
                 if obj_idx < OBJECTS.len() {
@@ -663,7 +665,7 @@ pub fn run_checked(cfg: &ChaosConfig) -> Result<(ChaosReport, Option<InvariantRe
         report.stale_refusals = metrics.counter("stale_identity_refusals");
         report.stale_lock_refusals = metrics.counter("stale_lock_refusals");
         report.stale_replies_dropped = metrics.counter("stale_replies_dropped");
-        report.world_rebinds = metrics.counter("rebinds") + metrics.counter("auto_rebinds");
+        report.world_rebinds = metrics.counter("rebinds");
     }
     report.elapsed_us = (rt.now() - start).as_micros();
 
