@@ -5,19 +5,23 @@
 //! moves or instantiates it, invokes it and unlocks — each step an RMI call
 //! whose reply drives the next. This module holds those state machines:
 //!
-//! * [`ExecTask`] — the bind/invoke engine run on the client's node
+//! * [`ExecTask`] — the one client engine, run on the client's node for
+//!   every session operation but local creation: binds, invocations,
+//!   remote creation, and finds, locks and unlocks
 //! * [`MoveOutTask`] — the hosting node's half of the move protocol
 //!   (Figure 7's messages 4/5), shared by `moveTo` requests, client-local
 //!   moves and autonomous mobile-agent hops
 //! * forwarded finds — the registry's chain-walking with path compression
 //!
-//! The exec, lock and unlock engines and the driver find ask
-//! `MageNode::locate` where a component is: the single locate step, which
-//! answers from this node's own copy, the registry or the caller's hint,
-//! or else starts a find walk from the component's home. A *walk* — a
-//! driver find, or a bind with no location hint, which must find a shared
-//! object before use (§3.5) — takes the registry entry as where the
-//! forwarding chain starts, not as the answer. Find, move and restore
+//! The exec engine asks `MageNode::locate` where a component is: the
+//! single locate step, which answers from this node's own copy, the
+//! registry or the caller's hint, or else starts a find walk from the
+//! component's home. A *walk* — a find, or a bind with no location hint,
+//! which must find a shared object before use (§3.5) — takes the registry
+//! entry as where the forwarding chain starts, not as the answer. Every
+//! walk, the client's and each forwarded hop's, follows one rule when it
+//! meets a dead hop: drop the entry that led there and retry once from the
+//! component's home (`retry_find_from_home`). Find, move and restore
 //! replies are recorded through `MageNode::learn`, and class pushes go
 //! through `class_args` and `push_class`, each written once.
 //!
@@ -31,25 +35,12 @@ use mage_sim::{NodeId, OpId};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::{MageNode, TransitFindWaiter};
-use crate::proto::{self, FindReply, Outcome};
+use crate::proto::{self, FindReply};
 use crate::registry::{CompKey, Incarnation, Located};
 
 /// A continuation awaiting an RMI reply (keyed by its call token).
 pub(crate) enum Task {
-    /// A driver-initiated find.
-    ClientFind {
-        op: OpId,
-        key: CompKey,
-        /// Origin-server hint for the once-only dead-hop retry.
-        home: Option<u32>,
-        /// Whether the dead-hop retry has been spent.
-        retried: bool,
-    },
-    /// A driver-initiated lock acquisition.
-    ClientLock(ClientLockTask),
-    /// A driver-initiated unlock.
-    ClientUnlock(ClientUnlockTask),
-    /// A bind/invoke engine.
+    /// A client operation's execution ladder.
     Exec(Box<ExecTask>),
     /// A find being forwarded along the chain on behalf of a caller.
     FwdFind {
@@ -80,31 +71,6 @@ pub(crate) struct CheckpointTask {
     pub dest: NodeId,
     pub args: proto::CheckpointArgs,
     pub phase: ShipPhase,
-}
-
-pub(crate) struct ClientLockTask {
-    pub op: OpId,
-    pub name: NameId,
-    pub target: NodeId,
-    pub home_hint: Option<u32>,
-    pub phase: LocatePhase,
-    pub retries: u8,
-    /// Incarnation the lock expects to apply to (learned from the find or
-    /// the registry); a re-creation racing the lock resolves to typed
-    /// `StaleIdentity`, and a retry re-resolves before locking again.
-    pub expected: Option<Incarnation>,
-}
-
-pub(crate) struct ClientUnlockTask {
-    pub op: OpId,
-    pub name: NameId,
-    pub phase: LocatePhase,
-}
-
-/// Whether a locate-then-call task is waiting on the find or the call.
-pub(crate) enum LocatePhase {
-    Finding,
-    Calling,
 }
 
 /// Why a move was started; decides who hears about the outcome.
@@ -142,6 +108,8 @@ pub(crate) enum Resume {
 pub(crate) enum ExecPhase {
     AwaitFind {
         resume: Resume,
+        /// Whether this walk is already the once-only home retry.
+        retried: bool,
     },
     AwaitLock {
         at: NodeId,
@@ -248,25 +216,27 @@ impl MageNode {
         );
     }
 
-    /// Issues the once-only home retry of a find walk that dead-ended: a
-    /// fresh walk from `home` with the visited set reset, parking the
-    /// task built by `make_task` under a new token. Returns `false`
-    /// without side effects when the hint is absent or points here (the
-    /// caller surfaces its error instead).
+    /// The once-only home retry of a find walk that dead-ended: unless
+    /// the walk was already `retried`, or the `home` hint is absent or
+    /// points here, starts a fresh walk from `home` with the visited set
+    /// reset and returns the token its reply arrives under (the caller
+    /// parks its task there). `None` means the caller surfaces its error.
     pub(crate) fn retry_find_from_home(
         &mut self,
         env: &mut Env<'_, '_>,
         key: CompKey,
         home: Option<u32>,
-        make_task: impl FnOnce() -> Task,
-    ) -> bool {
+        retried: bool,
+    ) -> Option<u64> {
+        if retried {
+            return None;
+        }
         let me = env.node();
-        let Some(h) = home.map(NodeId::from_raw).filter(|h| *h != me) else {
-            return false;
-        };
-        let token = self.spawn_task(make_task());
+        let h = home.map(NodeId::from_raw).filter(|h| *h != me)?;
+        let token = self.next_task;
+        self.next_task += 1;
         self.send_find(env, h, key, home, true, token);
-        true
+        Some(token)
     }
 
     /// The locate step, the only one: where `key` is, and which
@@ -276,9 +246,9 @@ impl MageNode {
     /// Answers from this node's own copy; for an object mid-move out of
     /// here, the move's outcome answers once it settles. Otherwise, unless
     /// `walk`, it answers from the registry or the caller's `hint`. A walk
-    /// (a driver find, or a bind that must find before use, §3.5) treats
-    /// those entries as where the forwarding chain starts, not as the
-    /// answer, and starts at the `home` node without them. Returns
+    /// (a find, or a bind that must find before use, §3.5) treats those
+    /// entries as where the forwarding chain starts, not as the answer,
+    /// and starts at the `home` node without them. Returns
     /// `Ok(Some(loc))` when known (possibly this node), `Ok(None)` when
     /// the answer will arrive as a find reply to `token` (the caller
     /// parks its task), or `NotFound` when there is nowhere left to ask.
@@ -393,15 +363,17 @@ impl MageNode {
                         // with this walk. A dead hop earns the once-only
                         // retry from the component's home.
                         self.registry.remove(key);
-                        if is_unreachable(&err)
-                            && !retried
-                            && self.retry_find_from_home(env, key, home, || Task::FwdFind {
+                        let retry = is_unreachable(&err)
+                            .then(|| self.retry_find_from_home(env, key, home, retried))
+                            .flatten();
+                        if let Some(token) = retry {
+                            let task = Task::FwdFind {
                                 reply,
                                 key,
                                 home,
                                 retried: true,
-                            })
-                        {
+                            };
+                            self.tasks.insert(token, task);
                             return;
                         }
                         match err {
@@ -417,48 +389,6 @@ impl MageNode {
                     }
                 }
             }
-            Task::ClientFind {
-                op,
-                key,
-                home,
-                retried,
-            } => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        self.learn(key, &found);
-                        self.complete(
-                            env,
-                            op,
-                            Ok(Outcome {
-                                location: found.location,
-                                incarnation: found.incarnation,
-                                ..Outcome::default()
-                            }),
-                        );
-                    }
-                    Err(e) => self.complete(env, op, Err(e)),
-                },
-                Err(e) => {
-                    if is_unreachable(&e) {
-                        // The first hop (or one behind it) is dead; our
-                        // entry pointing there is stale.
-                        self.registry.remove(key);
-                        if !retried
-                            && self.retry_find_from_home(env, key, home, || Task::ClientFind {
-                                op,
-                                key,
-                                home,
-                                retried: true,
-                            })
-                        {
-                            return;
-                        }
-                    }
-                    self.complete(env, op, Err(rmi_error_to_mage(&e)));
-                }
-            },
-            Task::ClientLock(t) => self.step_client_lock(env, token, t, result),
-            Task::ClientUnlock(t) => self.step_client_unlock(env, token, t, result),
             Task::Exec(t) => self.step_exec_reply(env, token, *t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
             Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
@@ -527,251 +457,6 @@ impl MageNode {
                     env.note(note);
                 }
             }
-        }
-    }
-
-    // ---- driver find ----
-
-    pub(crate) fn start_client_find(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        key: CompKey,
-        home_hint: Option<u32>,
-    ) {
-        env.charge(self.config.bind_overhead);
-        let token = self.next_task;
-        self.next_task += 1;
-        match self.locate(env, key, None, home_hint, true, token) {
-            Ok(Some(loc)) => self.complete(
-                env,
-                op,
-                Ok(Outcome {
-                    location: loc.node.as_raw(),
-                    incarnation: loc.incarnation,
-                    ..Outcome::default()
-                }),
-            ),
-            Ok(None) => {
-                let task = Task::ClientFind {
-                    op,
-                    key,
-                    home: home_hint,
-                    retried: false,
-                };
-                self.tasks.insert(token, task);
-            }
-            Err(e) => self.complete(env, op, Err(e)),
-        }
-    }
-
-    // ---- driver lock / unlock ----
-
-    pub(crate) fn start_client_lock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        name: NameId,
-        target: u32,
-        home_hint: Option<u32>,
-    ) {
-        env.charge(self.config.bind_overhead);
-        let token = self.next_task;
-        self.next_task += 1;
-        let task = ClientLockTask {
-            op,
-            name,
-            target: NodeId::from_raw(target),
-            home_hint,
-            phase: LocatePhase::Finding,
-            retries: self.config.race_retries,
-            expected: None,
-        };
-        self.client_lock_locate(env, token, task);
-    }
-
-    /// Locates the object of a name-keyed lock request, then locks it (or
-    /// parks the task on the find).
-    fn client_lock_locate(&mut self, env: &mut Env<'_, '_>, token: u64, task: ClientLockTask) {
-        let key = CompKey::object(task.name);
-        match self.locate(env, key, None, task.home_hint, false, token) {
-            Ok(Some(loc)) => self.client_lock_call(env, token, task, loc),
-            Ok(None) => {
-                self.tasks.insert(token, Task::ClientLock(task));
-            }
-            Err(e) => self.complete(env, task.op, Err(e)),
-        }
-    }
-
-    /// Sends the lock request to where the object was located. Identity
-    /// rides with location knowledge: whatever told us where the object
-    /// is also told us which incarnation the lock applies to.
-    fn client_lock_call(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: ClientLockTask,
-        loc: Located,
-    ) {
-        task.expected = Some(loc.incarnation).filter(|inc| !inc.is_none());
-        self.issue_lock_call(env, task.name, task.target, loc.node, task.expected, token);
-        task.phase = LocatePhase::Calling;
-        self.tasks.insert(token, Task::ClientLock(task));
-    }
-
-    pub(crate) fn issue_lock_call(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        name: NameId,
-        target: NodeId,
-        at: NodeId,
-        expected: Option<Incarnation>,
-        token: u64,
-    ) {
-        let args = proto::LockArgs {
-            name,
-            client: env.node().as_raw(),
-            target: target.as_raw(),
-            expected,
-        };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.lock,
-            mage_codec::to_bytes(&args).expect("lock args encode"),
-            token,
-        );
-    }
-
-    fn step_client_lock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: ClientLockTask,
-        result: Result<Bytes, RmiError>,
-    ) {
-        match task.phase {
-            LocatePhase::Finding => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = self.learn(CompKey::object(task.name), &found);
-                        self.client_lock_call(env, token, task, loc);
-                    }
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-            LocatePhase::Calling => match result {
-                Ok(bytes) => match decode::<LockKind>(&bytes) {
-                    Ok(kind) => self.complete(
-                        env,
-                        task.op,
-                        Ok(Outcome {
-                            location: task.target.as_raw(),
-                            lock_kind: Some(kind),
-                            ..Outcome::default()
-                        }),
-                    ),
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(RmiError::Fault(Fault::NotBound(_) | Fault::StaleIdentity { .. }))
-                    if task.retries > 0 =>
-                {
-                    // The object moved — or was re-created — between find
-                    // and lock; chase it. A name-keyed lock request is
-                    // advisory about identity (like a bind), so the retry
-                    // re-resolves the current incarnation and locks that
-                    // knowingly; it never silently applies to a successor
-                    // under stale knowledge.
-                    task.retries -= 1;
-                    task.phase = LocatePhase::Finding;
-                    task.expected = None;
-                    self.registry.remove(CompKey::object(task.name));
-                    self.client_lock_locate(env, token, task);
-                }
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-        }
-    }
-
-    pub(crate) fn start_client_unlock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        op: OpId,
-        name: NameId,
-        home_hint: Option<u32>,
-    ) {
-        env.charge(self.config.bind_overhead);
-        let token = self.next_task;
-        self.next_task += 1;
-        let task = ClientUnlockTask {
-            op,
-            name,
-            phase: LocatePhase::Finding,
-        };
-        match self.locate(env, CompKey::object(name), None, home_hint, false, token) {
-            Ok(Some(loc)) => self.client_unlock_call(env, token, task, loc.node),
-            Ok(None) => {
-                self.tasks.insert(token, Task::ClientUnlock(task));
-            }
-            Err(e) => self.complete(env, op, Err(e)),
-        }
-    }
-
-    fn client_unlock_call(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: ClientUnlockTask,
-        at: NodeId,
-    ) {
-        let args = proto::UnlockArgs {
-            name: task.name,
-            client: env.node().as_raw(),
-        };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.unlock,
-            mage_codec::to_bytes(&args).expect("unlock args encode"),
-            token,
-        );
-        task.phase = LocatePhase::Calling;
-        self.tasks.insert(token, Task::ClientUnlock(task));
-    }
-
-    fn step_client_unlock(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        task: ClientUnlockTask,
-        result: Result<Bytes, RmiError>,
-    ) {
-        match task.phase {
-            LocatePhase::Finding => match result {
-                Ok(bytes) => match decode::<FindReply>(&bytes) {
-                    Ok(found) => {
-                        let loc = self.learn(CompKey::object(task.name), &found);
-                        self.client_unlock_call(env, token, task, loc.node);
-                    }
-                    Err(e) => self.complete(env, task.op, Err(e)),
-                },
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
-            LocatePhase::Calling => match result {
-                Ok(_) => {
-                    let me = env.node().as_raw();
-                    self.complete(
-                        env,
-                        task.op,
-                        Ok(Outcome {
-                            location: me,
-                            ..Outcome::default()
-                        }),
-                    );
-                }
-                Err(e) => self.complete(env, task.op, Err(rmi_error_to_mage(&e))),
-            },
         }
     }
 

@@ -1,35 +1,44 @@
-//! The bind/invoke execution ladder.
+//! The execution ladder: every client operation but local creation.
 //!
-//! An [`ExecTask`] runs on the client's node and realises one mobility-
-//! attribute application: `locate → coerce → [lock] → place component →
-//! [invoke] → [unlock]`. A bind first locates its object (a bind with no
-//! location hint finds it, §3.5: shared objects "must be found before
-//! use"), then applies Table 2 coercion once, which rewrites the plan's
-//! default action for where the object turned out to be. Placement is
-//! then nothing (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or
-//! an instantiation from the class (traditional REV/COD factories; these
-//! have nothing to locate), with class transfer slipped in on demand. A
-//! stub invocation skips the first two steps and acts on its hint.
+//! An [`ExecTask`] runs on the client's node and realises one client
+//! operation: `locate → coerce → [lock] → place component → [invoke] →
+//! [unlock]`. A bind first locates its object (a bind with no location
+//! hint finds it, §3.5: shared objects "must be found before use"), then
+//! applies Table 2 coercion once, which rewrites the plan's default action
+//! for where the object turned out to be. Placement is then nothing
+//! (RPC/CLE), a migration (REV on objects, GREV, MA, COD), or an
+//! instantiation from the class (traditional REV/COD factories and remote
+//! creation; these have nothing to locate), with class transfer slipped in
+//! on demand. A stub invocation skips the first two steps and acts on its
+//! hint. A find, a lock and an unlock are plans that place nothing
+//! ([`ActionSpec::Stay`]): a find walks and answers where the component
+//! is, a lock ([`Guard::Take`]) keeps the lock it takes, and an unlock
+//! ([`Guard::Release`]) counts the object as locked once located, so the
+//! ladder's unlock rung releases it.
 //!
 //! # Recovery
 //!
 //! A failed step climbs one ladder, each rung written once:
 //!
-//! 1. **Re-resolve.** One retry table (`ExecTask::retry_point`) maps the
-//!    phase that failed and its error to the step to resume at. One
-//!    transition (`exec_retry`) spends a unit of the per-op
-//!    `race_retries` budget, forgets the stale location knowledge and
-//!    locates the object again through the node's single locate step,
-//!    whose find walks carry their own once-only retry from the home node.
-//! 2. **Restore.** A crash-shaped failure (`NotFound`/`Unreachable`) of a
+//! 1. **Re-walk.** A find walk that meets a dead hop drops the registry
+//!    entry that led there and retries once from the component's home
+//!    (`retry_find_from_home`, the rule every walk follows); it spends no
+//!    retry budget.
+//! 2. **Re-resolve.** One retry table (`ExecTask::retry_point`) maps the
+//!    step that failed after acting (a move, a lock or an invocation) and
+//!    its error to the step to resume at. One transition (`exec_retry`)
+//!    spends a unit of the per-op `race_retries` budget, forgets the stale
+//!    location knowledge and locates the object again through the node's
+//!    single locate step.
+//! 3. **Restore.** A crash-shaped failure (`NotFound`/`Unreachable`) of a
 //!    replicated object earns one consultation of its backup home
 //!    (`exec_try_restore`); a stored snapshot brings the object back under
 //!    a fresh incarnation and the task resumes against it.
-//! 3. **Typed terminal error.** Anything else, or a spent budget, surfaces
+//! 4. **Typed terminal error.** Anything else, or a spent budget, surfaces
 //!    as a typed [`MageError`] once the lock (if held) is released.
 
 use bytes::Bytes;
-use mage_rmi::{Env, Fault, RmiError};
+use mage_rmi::{Env, Fault, NameId, RmiError};
 use mage_sim::{NodeId, OpId};
 
 use crate::coercion::{coerce, Coerced, Situation};
@@ -40,7 +49,7 @@ use crate::engine::{
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::node::MageNode;
-use crate::proto::{self, ActionSpec, FindReply, Outcome};
+use crate::proto::{self, ActionSpec, FindReply, Guard, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
 /// Whether a failed step is worth re-finding the object over: either the
@@ -60,14 +69,26 @@ fn rebindable_identity(spec: &proto::ExecSpec, err: &RmiError) -> bool {
 
 impl ExecTask {
     /// The computation target this plan locks against (the `T` carried by a
-    /// lock request in Figure 8).
+    /// lock request in Figure 8): an explicit lock's own, else the
+    /// action's.
     fn lock_target(&self, me: NodeId) -> NodeId {
+        if let Guard::Take { target } = self.spec.guard {
+            return NodeId::from_raw(target);
+        }
         match &self.spec.action {
             ActionSpec::InvokeAt { node } => NodeId::from_raw(*node),
-            ActionSpec::InvokeAtCurrent => self.cloc.unwrap_or(me),
+            ActionSpec::Stay | ActionSpec::InvokeAtCurrent => self.cloc.unwrap_or(me),
             ActionSpec::Local => me,
             ActionSpec::MoveTo { node } => NodeId::from_raw(*node),
             ActionSpec::Instantiate { node, .. } => NodeId::from_raw(*node),
+        }
+    }
+
+    /// The class an instantiating plan creates from.
+    fn class(&self) -> NameId {
+        match self.spec.action {
+            ActionSpec::Instantiate { class, .. } => class,
+            _ => unreachable!("only instantiate plans ship classes"),
         }
     }
 
@@ -80,7 +101,7 @@ impl ExecTask {
                 Some(NodeId::from_raw(node))
             }
             ActionSpec::Local => Some(me),
-            ActionSpec::InvokeAtCurrent | ActionSpec::Instantiate { .. } => None,
+            ActionSpec::Stay | ActionSpec::InvokeAtCurrent | ActionSpec::Instantiate { .. } => None,
         };
         self.coerced = coerce(model, Situation::classify(me, target, Some(loc)))?;
         let here = ActionSpec::InvokeAt { node: loc.as_raw() };
@@ -99,9 +120,8 @@ impl ExecTask {
     /// the current phase failed with `err`, or `None` when the failure
     /// does not mean our location knowledge went stale.
     ///
-    /// - A find whose walk met a dead hop resumes at the step it was
-    ///   finding for; the home hint survives in the spec, so the retry can
-    ///   start a fresh walk.
+    /// A find is not a row: its walk retries once from the home instead.
+    ///
     /// - A move that raced a migration (`NotBound`), or whose host is
     ///   gone, re-runs the placement from wherever the object now is.
     /// - A lock or an invocation that met the same conditions finds the
@@ -114,7 +134,6 @@ impl ExecTask {
     fn retry_point(&self, err: &RmiError) -> Option<Resume> {
         let stale = || stale_location(err) || rebindable_identity(&self.spec, err);
         match self.phase {
-            ExecPhase::AwaitFind { resume } if is_unreachable(err) => Some(resume),
             ExecPhase::AwaitMove if stale_location(err) => Some(Resume::Action),
             ExecPhase::AwaitLock { .. } if stale() => Some(Resume::Guard),
             ExecPhase::AwaitInvoke if stale() => Some(Resume::Invoke),
@@ -133,6 +152,7 @@ impl MageNode {
             spec,
             phase: ExecPhase::AwaitFind {
                 resume: Resume::Guard,
+                retried: false,
             },
             cloc: None,
             cinc,
@@ -145,15 +165,18 @@ impl MageNode {
             restore_tried: false,
             coerced: Coerced::Proceed,
         };
-        // A bind locates (and so coerces) before it acts; a factory bind
+        // A bind locates (and so coerces) before it acts, and a find,
+        // lock or unlock only locates; a factory bind or a remote creation
         // has nothing to locate, and a stub invocation acts on its hint.
-        let locates = task.spec.model.is_some()
-            && !matches!(task.spec.action, ActionSpec::Instantiate { .. });
+        let locates = match task.spec.action {
+            ActionSpec::Stay => true,
+            ActionSpec::Instantiate { .. } => false,
+            _ => task.spec.model.is_some(),
+        };
         if locates {
-            let resume = if task.spec.guard {
-                Resume::Guard
-            } else {
-                Resume::Action
+            let resume = match task.spec.guard {
+                Guard::Bracket | Guard::Take { .. } => Resume::Guard,
+                Guard::Off | Guard::Release => Resume::Action,
             };
             self.exec_locate(env, id, task, resume);
         } else {
@@ -164,18 +187,22 @@ impl MageNode {
     // ---- locating ----
 
     /// Locates the plan's object and continues at `resume`, or parks the
-    /// task on the find the locate step sent. Without a location hint the
-    /// locate walks the forwarding chain (find before use, §3.5).
+    /// task on the find the locate step sent. Without a location hint a
+    /// bind or a find walks the forwarding chain (find before use, §3.5);
+    /// a lock or an unlock takes the registry's word, else asks the home.
     fn exec_locate(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, resume: Resume) {
         let hint = task.spec.location_hint.map(|node| {
             let inc = task.spec.expected_incarnation.unwrap_or(Incarnation::NONE);
             Located::new(NodeId::from_raw(node), inc)
         });
-        let key = CompKey::object(task.spec.object);
-        match self.locate(env, key, hint, task.spec.home_hint, hint.is_none(), id) {
+        let walk = hint.is_none() && matches!(task.spec.guard, Guard::Off | Guard::Bracket);
+        match self.locate(env, task.spec.key, hint, task.spec.home_hint, walk, id) {
             Ok(Some(loc)) => self.exec_located(env, id, task, resume, loc),
             Ok(None) => {
-                task.phase = ExecPhase::AwaitFind { resume };
+                task.phase = ExecPhase::AwaitFind {
+                    resume,
+                    retried: false,
+                };
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
             Err(e) => self.exec_unlocated(env, id, task, e),
@@ -185,7 +212,7 @@ impl MageNode {
     /// Continues at `resume` now that the object is known to be at `loc`.
     /// A bind (advisory identity) adopts the incarnation `loc` vouches
     /// for; a pinned stub keeps its own. The first location a bind learns
-    /// decides its coercion.
+    /// decides its coercion. An unlock counts the object as locked there.
     fn exec_located(
         &mut self,
         env: &mut Env<'_, '_>,
@@ -195,6 +222,9 @@ impl MageNode {
         loc: Located,
     ) {
         task.cloc = Some(loc.node);
+        if task.spec.guard == Guard::Release {
+            task.locked_at = Some(loc.node);
+        }
         if !task.spec.identity_pinned {
             task.cinc = Some(loc.incarnation).filter(|inc| !inc.is_none());
         }
@@ -225,7 +255,7 @@ impl MageNode {
         err: MageError,
     ) {
         let proceeds = task.spec.model.is_some()
-            && !task.spec.guard
+            && task.spec.guard == Guard::Off
             && matches!(task.spec.action, ActionSpec::InvokeAt { .. })
             && matches!(err, MageError::NotFound(_));
         if proceeds {
@@ -246,7 +276,7 @@ impl MageNode {
         found: &FindReply,
         resume: Resume,
     ) {
-        let loc = self.learn(CompKey::object(task.spec.object), found);
+        let loc = self.learn(task.spec.key, found);
         self.exec_located(env, id, task, resume, loc);
     }
 
@@ -262,7 +292,7 @@ impl MageNode {
             task.cinc = None;
             task.spec.expected_incarnation = None;
         }
-        self.registry.remove(CompKey::object(task.spec.object));
+        self.registry.remove(task.spec.key);
         self.exec_locate(env, id, task, resume);
     }
 
@@ -273,8 +303,19 @@ impl MageNode {
         // The lock applies to the incarnation this plan resolved; a
         // re-creation racing the request is refused typed, not silently
         // locked.
-        let expected = task.cinc.filter(|inc| !inc.is_none());
-        self.issue_lock_call(env, task.spec.object, target, at, expected, id);
+        let args = proto::LockArgs {
+            name: task.spec.key.id,
+            client: env.node().as_raw(),
+            target: target.as_raw(),
+            expected: task.cinc.filter(|inc| !inc.is_none()),
+        };
+        env.call(
+            at,
+            self.ids.service,
+            self.ids.lock,
+            mage_codec::to_bytes(&args).expect("lock args encode"),
+            id,
+        );
         task.phase = ExecPhase::AwaitLock { at };
         self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
@@ -282,8 +323,9 @@ impl MageNode {
     fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
         let me = env.node();
         match task.spec.action {
+            ActionSpec::Stay => self.exec_begin_unlock(env, id, task),
             ActionSpec::Local => {
-                let name = task.spec.object;
+                let name = task.spec.key.id;
                 task.invoke_at = Some(me);
                 if let Some(invoke) = task.spec.invoke.as_ref() {
                     // A bind (advisory identity) re-resolves against the
@@ -327,7 +369,7 @@ impl MageNode {
             ActionSpec::MoveTo { node } => {
                 let cloc = task.cloc.expect("a bind locates before it acts");
                 let dest = NodeId::from_raw(node);
-                let name = task.spec.object;
+                let name = task.spec.key.id;
                 if cloc == dest {
                     // Already at the target: the engine-level mirror of
                     // coercion to RPC.
@@ -358,6 +400,7 @@ impl MageNode {
                 }
             }
             ActionSpec::Instantiate {
+                class,
                 node,
                 ref state,
                 visibility,
@@ -368,13 +411,11 @@ impl MageNode {
                 let dest = NodeId::from_raw(node);
                 if dest != me {
                     self.exec_instantiate_at(env, id, task, dest, false);
-                } else if !self.classes.contains(&task.spec.class) {
+                } else if !self.classes.contains(&class) {
                     self.exec_fetch_class(env, id, task, me);
                 } else {
-                    let (class_name, object_name) = (
-                        self.name_str(task.spec.class),
-                        self.name_str(task.spec.object),
-                    );
+                    let (class_name, object_name) =
+                        (self.name_str(class), self.name_str(task.spec.key.id));
                     let policy = crate::node::HostPolicy {
                         visibility,
                         durability,
@@ -414,6 +455,7 @@ impl MageNode {
         retried_class: bool,
     ) {
         let ActionSpec::Instantiate {
+            class,
             ref state,
             visibility,
             durability,
@@ -425,8 +467,8 @@ impl MageNode {
             unreachable!("only instantiate plans instantiate");
         };
         let args = proto::InstantiateArgs {
-            class: task.spec.class,
-            name: task.spec.object,
+            class,
+            name: task.spec.key.id,
             state: state.clone(),
             visibility,
             durability,
@@ -457,10 +499,10 @@ impl MageNode {
         dest: NodeId,
     ) {
         let me = env.node();
-        let key = CompKey::class(task.spec.class);
+        let class = task.class();
         let source = self
             .registry
-            .lookup(key)
+            .lookup(CompKey::class(class))
             .map(|entry| entry.node)
             .filter(|n| *n != me)
             .or_else(|| {
@@ -471,9 +513,7 @@ impl MageNode {
             });
         match source {
             Some(src) => {
-                let args = proto::FetchClassArgs {
-                    class: task.spec.class,
-                };
+                let args = proto::FetchClassArgs { class };
                 env.call(
                     src,
                     self.ids.service,
@@ -485,7 +525,7 @@ impl MageNode {
                 self.tasks.insert(id, Task::Exec(Box::new(task)));
             }
             None => {
-                let class = self.name_str(task.spec.class);
+                let class = self.name_str(class);
                 self.exec_fail(env, id, task, MageError::ClassUnavailable(class));
             }
         }
@@ -498,7 +538,7 @@ impl MageNode {
         };
         let at = task.invoke_at.expect("invoke target resolved");
         let args = proto::InvokeArgsRef {
-            name: task.spec.object,
+            name: task.spec.key.id,
             method: invoke.method,
             args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
@@ -519,10 +559,11 @@ impl MageNode {
     }
 
     fn exec_begin_unlock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
-        let Some(_) = task.locked_at else {
+        // An explicit lock keeps what it took.
+        if task.locked_at.is_none() || matches!(task.spec.guard, Guard::Take { .. }) {
             self.exec_finish(env, task);
             return;
-        };
+        }
         // The lock travelled with the object if it moved; release it where
         // the object now lives.
         let at = task
@@ -531,7 +572,7 @@ impl MageNode {
             .or(task.locked_at)
             .expect("somewhere");
         let args = proto::UnlockArgs {
-            name: task.spec.object,
+            name: task.spec.key.id,
             client: env.node().as_raw(),
         };
         env.call(
@@ -604,7 +645,7 @@ impl MageNode {
         let Some(backup) = task.spec.backup_hint else {
             return Some(task);
         };
-        let name = task.spec.object;
+        let name = task.spec.key.id;
         task.restore_tried = true;
         let backup = NodeId::from_raw(backup);
         if backup == env.node() {
@@ -656,7 +697,7 @@ impl MageNode {
             task.spec.expected_incarnation = Some(found.incarnation).filter(|inc| !inc.is_none());
         }
         let resume = match task.spec.action {
-            _ if task.spec.guard => Resume::Guard,
+            _ if task.spec.guard == Guard::Bracket => Resume::Guard,
             ActionSpec::MoveTo { .. } => Resume::Action,
             _ => Resume::Invoke,
         };
@@ -679,8 +720,14 @@ impl MageNode {
         }
         match (task.phase, result) {
             (ExecPhase::AwaitUnlock, result) => {
-                if let Err(e) = result {
-                    env.note(format!("unlock after bind failed: {e}"));
+                // An explicit unlock's failure is its outcome; a bracketed
+                // bind's is only noted.
+                match result {
+                    Err(e) if task.spec.guard == Guard::Release => {
+                        task.failure = Some(rmi_error_to_mage(&e));
+                    }
+                    Err(e) => env.note(format!("unlock after bind failed: {e}")),
+                    Ok(_) => {}
                 }
                 task.locked_at = None;
                 self.exec_finish(env, task);
@@ -705,12 +752,11 @@ impl MageNode {
                 },
                 Err(RmiError::Fault(Fault::ClassMissing(_))),
             ) => {
-                if self.classes.contains(&task.spec.class) {
+                let class = task.class();
+                if self.classes.contains(&class) {
                     // We have the class: push it to the target
                     // (traditional REV ships local code to the server).
-                    let class_args = self
-                        .class_args(task.spec.class)
-                        .expect("cached class defined");
+                    let class_args = self.class_args(class).expect("cached class defined");
                     self.push_class(env, dest, &class_args, id);
                     task.phase = ExecPhase::AwaitPushClass { dest };
                     self.tasks.insert(id, Task::Exec(Box::new(task)));
@@ -720,7 +766,21 @@ impl MageNode {
                     self.exec_fetch_class(env, id, task, dest);
                 }
             }
-            (ExecPhase::AwaitFind { .. }, Err(e)) => {
+            (ExecPhase::AwaitFind { resume, retried }, Err(e)) => {
+                // A dead hop: the entry that led there is stale, and the
+                // walk earns its once-only retry from the home.
+                if is_unreachable(&e) {
+                    let (key, home) = (task.spec.key, task.spec.home_hint);
+                    self.registry.remove(key);
+                    if let Some(token) = self.retry_find_from_home(env, key, home, retried) {
+                        task.phase = ExecPhase::AwaitFind {
+                            resume,
+                            retried: true,
+                        };
+                        self.tasks.insert(token, Task::Exec(Box::new(task)));
+                        return;
+                    }
+                }
                 let err = rmi_error_to_mage(&e);
                 self.exec_unlocated(env, id, task, err);
             }
@@ -728,7 +788,7 @@ impl MageNode {
                 let err = rmi_error_to_mage(&e);
                 self.exec_fail(env, id, task, err);
             }
-            (ExecPhase::AwaitFind { resume }, Ok(bytes)) => match decode::<FindReply>(&bytes) {
+            (ExecPhase::AwaitFind { resume, .. }, Ok(bytes)) => match decode::<FindReply>(&bytes) {
                 Ok(found) => self.exec_learn(env, id, task, &found, resume),
                 Err(e) => self.exec_fail(env, id, task, e),
             },
@@ -780,8 +840,8 @@ impl MageNode {
                         return;
                     }
                 };
-                let key = CompKey::object(task.spec.object);
-                self.registry.update(key, Located::new(dest, incarnation));
+                self.registry
+                    .update(task.spec.key, Located::new(dest, incarnation));
                 task.cloc = Some(dest);
                 task.cinc = Some(incarnation).filter(|inc| !inc.is_none());
                 task.invoke_at = Some(dest);

@@ -360,14 +360,14 @@ impl MageNode {
         args: &proto::FindArgs,
     ) -> CallOutcome {
         let (key, home) = (args.key, args.home);
-        if !args.retried
-            && self.retry_find_from_home(env, key, home, || Task::FwdFind {
+        if let Some(token) = self.retry_find_from_home(env, key, home, args.retried) {
+            let task = Task::FwdFind {
                 reply,
                 key,
                 home,
                 retried: true,
-            })
-        {
+            };
+            self.tasks.insert(token, task);
             return CallOutcome::Deferred;
         }
         CallOutcome::Reply(Err(Fault::NotBound(args.key.display(&self.syms))))
@@ -770,17 +770,6 @@ impl MageNode {
                 };
                 let result = self.create_local_object(env, &class, &name, &state, policy, false);
                 return self.complete(env, op, result);
-            }
-            proto::Command::Find { key, home_hint } => {
-                return self.start_client_find(env, op, key, home_hint);
-            }
-            proto::Command::Lock {
-                name,
-                target,
-                home_hint,
-            } => return self.start_client_lock(env, op, name, target, home_hint),
-            proto::Command::Unlock { name, home_hint } => {
-                return self.start_client_unlock(env, op, name, home_hint);
             }
             proto::Command::Execute(spec) => {
                 env.charge(self.config.bind_overhead);

@@ -10,6 +10,9 @@
 //! and the nodes share one process, so a session hands a node its typed
 //! command, and the node hands back a typed outcome, through the
 //! runtime's op desk. Only the op id rides the world's driver event.
+//! Every client operation but local creation and the admin commands is
+//! one [`Command::Execute`]: a find, a lock and an unlock are execution
+//! plans that place nothing, run by the same engine ladder as a bind.
 
 use mage_rmi::NameId;
 use serde::{Deserialize, Serialize};
@@ -268,6 +271,9 @@ pub struct RestoreArgs {
 /// How an `Execute` command acts on the component before any invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ActionSpec {
+    /// Leave the component where it is: the plan only locates it (a
+    /// find) and takes or releases a lock as its [`Guard`] says.
+    Stay,
     /// Invoke at a known namespace without moving anything (RPC; also the
     /// coerced forms of REV/MA when the object is already at the target).
     InvokeAt {
@@ -288,6 +294,8 @@ pub enum ActionSpec {
     /// Instantiate a fresh object from the class at a namespace
     /// (traditional REV/COD factory semantics), then invoke it there.
     Instantiate {
+        /// Interned name of the class to instantiate.
+        class: NameId,
         /// Raw id of the namespace to instantiate at.
         node: u32,
         /// Constructor state.
@@ -316,16 +324,35 @@ pub struct InvokeSpec {
     pub one_way: bool,
 }
 
-/// A fully resolved bind/invoke plan executed by the client node's engine.
+/// Whether an `Execute` plan takes or releases a §4.4 lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Guard {
+    /// No lock.
+    Off,
+    /// Lock before acting and unlock after (a guarded bind); a failed
+    /// unlock is only noted.
+    Bracket,
+    /// Lock and keep the lock (`Session::lock`).
+    Take {
+        /// Raw id of the computation target (decides stay vs move).
+        target: u32,
+    },
+    /// Release this client's lock once the object is located
+    /// (`Session::unlock`); a failed unlock is the plan's outcome.
+    Release,
+}
+
+/// A fully resolved execution plan run by the client node's engine: a
+/// bind, an invocation, a remote creation, or a find, lock or unlock.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecSpec {
-    /// Interned component class name.
-    pub class: NameId,
-    /// Interned object name.
-    pub object: NameId,
+    /// The component acted on: an object, or a class for a class find.
+    pub key: CompKey,
     /// Where the client believes the object currently is (a stub's or a
     /// private object's location, or what the bind plan just found). A
-    /// bind without one finds the object before using it (§3.5).
+    /// bind or a find without one walks the forwarding chain (a shared
+    /// object is found before use, §3.5); a lock or an unlock without one
+    /// asks the registry, else the home.
     pub location_hint: Option<u32>,
     /// Which incarnation the client believes it is operating on (paired
     /// with `location_hint`; from the stub or the session cache).
@@ -349,11 +376,11 @@ pub struct ExecSpec {
     pub action: ActionSpec,
     /// Optional invocation after placement.
     pub invoke: Option<InvokeSpec>,
-    /// Bracket the operation with a stay/move lock (§4.4).
-    pub guard: bool,
-    /// The bind's programming model (`None` for stub invocations and
-    /// creation): once the engine locates the component, Table 2
-    /// coercion rewrites `action` for this model.
+    /// Which stay/move lock (§4.4) the plan takes or releases.
+    pub guard: Guard,
+    /// The bind's programming model (`None` for every plan but a bind):
+    /// once the engine locates the component, Table 2 coercion rewrites
+    /// `action` for this model.
     pub model: Option<ModelKind>,
 }
 
@@ -381,30 +408,9 @@ pub enum Command {
         /// Raw id of the fixed backup home, when replicated.
         backup: Option<u32>,
     },
-    /// Locate a component.
-    Find {
-        /// Component key.
-        key: CompKey,
-        /// Origin-server hint.
-        home_hint: Option<u32>,
-    },
-    /// Acquire a lock on an object (finding it first if necessary).
-    Lock {
-        /// Interned object name.
-        name: NameId,
-        /// Raw id of the computation target.
-        target: u32,
-        /// Origin-server hint.
-        home_hint: Option<u32>,
-    },
-    /// Release a lock.
-    Unlock {
-        /// Interned object name.
-        name: NameId,
-        /// Origin-server hint.
-        home_hint: Option<u32>,
-    },
-    /// Run a bind/invoke plan.
+    /// Run an execution plan through the engine's one ladder (`locate →
+    /// coerce → [lock] → place → [invoke] → [unlock]`): a bind, an
+    /// invocation, a remote creation, or a find, lock or unlock.
     Execute(ExecSpec),
     /// Restrict which peers may push objects/classes into this namespace
     /// (`None` = trust all, the paper's default: "MAGE trusts its

@@ -9,10 +9,11 @@
 //! returns a typed [`Pending`] handle, and the driver decides when to pump
 //! the world and collect results.
 //!
-//! Every operation takes one path: plan, issue the command, and let
-//! [`Pending::wait`] record what it located and decode the result. A
-//! blocking form is its `_async` form followed by `wait`; only object
-//! creation, which has no async form, waits inline.
+//! Every operation takes one path: plan, issue one `Execute` command, and
+//! let [`Pending::wait`] record what it located and decode the result. A
+//! find, a lock and an unlock are plans too, run by the node's one engine
+//! ladder. A blocking form is its `_async` form followed by `wait`; only
+//! object creation, which has no async form, waits inline.
 //!
 //! A bind only issues. It consults its attribute once and hands the
 //! engine the plan's default behaviour; the engine then finds the object
@@ -62,7 +63,7 @@ use crate::component::{Durability, Visibility};
 use crate::error::MageError;
 use crate::lock::LockKind;
 use crate::pending::{Completion, Pending};
-use crate::proto::{ActionSpec, Command, ExecSpec, InvokeSpec, Outcome};
+use crate::proto::{ActionSpec, Command, ExecSpec, Guard, InvokeSpec, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 use crate::runtime::{Directory, Inner};
 use crate::spec::{ObjectHandle, ObjectSpec};
@@ -266,14 +267,23 @@ impl Session {
         self.syms.resolve_lossy(id)
     }
 
-    /// Raw id of the origin server of object `name`, if known.
-    fn home_hint(&self, name: NameId) -> Option<u32> {
-        let inner = self.inner.borrow();
-        inner
-            .dir
-            .homes
-            .get(&CompKey::object(name))
-            .map(|n| n.as_raw())
+    /// A plan that leaves `key` where it is: a find, or with a `guard`, a
+    /// lock or an unlock. It starts from the origin server ("clients
+    /// share the name of the mobile object's origin server", §7).
+    fn stay(&self, key: CompKey, guard: Guard) -> Command {
+        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
+        Command::Execute(ExecSpec {
+            key,
+            location_hint: None,
+            expected_incarnation: None,
+            identity_pinned: false,
+            home_hint,
+            backup_hint: None,
+            action: ActionSpec::Stay,
+            invoke: None,
+            guard,
+            model: None,
+        })
     }
 
     /// Issues a command and blocks until its outcome arrives (object
@@ -354,6 +364,7 @@ impl Session {
 
         let object_id = self.syms.intern(&name);
         let class_id = self.syms.intern(&class);
+        let key = CompKey::object(object_id);
         let backup_raw = backup_node.map(|n| n.as_raw());
         let outcome = if target == self.client {
             self.command(Command::CreateObject {
@@ -376,14 +387,14 @@ impl Session {
                 .get(&class_key)
                 .map(|n| n.as_raw());
             let exec = ExecSpec {
-                class: class_id,
-                object: object_id,
+                key,
                 location_hint: None,
                 expected_incarnation: None,
                 identity_pinned: false,
                 home_hint,
                 backup_hint: backup_raw,
                 action: ActionSpec::Instantiate {
+                    class: class_id,
                     node: target.as_raw(),
                     state,
                     visibility,
@@ -393,14 +404,13 @@ impl Session {
                     replace: false,
                 },
                 invoke: None,
-                guard: false,
+                guard: Guard::Off,
                 model: None,
             };
             self.command(Command::Execute(exec))?
         };
 
         let at = NodeId::from_raw(outcome.location);
-        let key = CompKey::object(object_id);
         let mut inner = self.inner.borrow_mut();
         inner.dir.homes.insert(key, at);
         inner.dir.visibility.insert(object_id, visibility);
@@ -437,11 +447,18 @@ impl Session {
 
     // ---- find ----
 
-    /// Locates a component from this session's point of view.
+    /// Locates a component from this session's point of view: `name` is an
+    /// object, or `"class:Name"` for a class.
+    ///
+    /// The node walks the forwarding chain from its registry entry, else
+    /// from the component's origin server; a walk that meets a dead hop
+    /// drops that entry and retries once from the origin server.
     ///
     /// # Errors
     ///
-    /// Returns [`MageError::NotFound`] when no forwarding chain reaches it.
+    /// Returns [`MageError::NotFound`] when no forwarding chain reaches it,
+    /// and [`MageError::Unreachable`] when a dead hop still blocks the walk
+    /// after its retry (or no origin server is known to retry from).
     pub fn find(&self, name: &str) -> Result<NodeId, MageError> {
         self.find_async(name)?.wait()
     }
@@ -458,9 +475,8 @@ impl Session {
 
     /// Starts a find of an interned component key.
     fn find_key_async(&self, key: CompKey) -> Pending<NodeId> {
-        let home_hint = self.inner.borrow().dir.homes.get(&key).map(|n| n.as_raw());
         self.issue(
-            Command::Find { key, home_hint },
+            self.stay(key, Guard::Off),
             Completion::Outcome {
                 located: Some(key),
                 decode: |outcome| Ok(NodeId::from_raw(outcome.location)),
@@ -693,6 +709,7 @@ impl Session {
                 // `Session::create`) and keep RMI-style rebind
                 // semantics: a fresh instance replaces a predecessor.
                 ActionSpec::Instantiate {
+                    class: class_id,
                     node: target,
                     state,
                     visibility,
@@ -705,13 +722,12 @@ impl Session {
 
         let inner = self.inner.borrow();
         let spec = ExecSpec {
-            class: class_id,
             // Factory binds register the fresh instance under the
             // component's object name, replacing any previous instance
             // (RMI-style rebind); that is how the paper's REV factory
             // creates `geoData` on `sensor1` for later attributes to bind
             // to (§3.6).
-            object: base_id,
+            key: base_key,
             location_hint: location.map(|n| n.as_raw()),
             expected_incarnation: None,
             identity_pinned: false,
@@ -724,7 +740,11 @@ impl Session {
             backup_hint: inner.dir.backups.get(&base_key).map(|n| n.as_raw()),
             action,
             invoke,
-            guard: plan.guard,
+            guard: if plan.guard {
+                Guard::Bracket
+            } else {
+                Guard::Off
+            },
             model: Some(attr.model()),
         };
         Ok((
@@ -802,8 +822,7 @@ impl Session {
             .map(|entry| entry.node)
             .unwrap_or(stub.at);
         let spec = ExecSpec {
-            class: stub.class,
-            object: stub.object,
+            key,
             location_hint: Some(at.as_raw()),
             expected_incarnation: Some(stub.incarnation).filter(|inc| !inc.is_none()),
             identity_pinned: pinned,
@@ -821,7 +840,7 @@ impl Session {
                 args,
                 one_way: false,
             }),
-            guard: false,
+            guard: Guard::Off,
             model: None,
         };
         self.issue(
@@ -883,7 +902,14 @@ impl Session {
     // ---- locking (§4.4) ----
 
     /// Acquires a stay/move lock on `name`; the kind depends on whether
-    /// the object already resides at `target`.
+    /// the object already resides at `target`. The lock is kept until
+    /// [`unlock`](Session::unlock).
+    ///
+    /// The node asks its registry where the object is, else the object's
+    /// origin server (a find there retries once from the origin server on
+    /// a dead hop). If the object moved, was re-created, or its host is
+    /// gone by the time the lock request arrives, the node forgets that
+    /// location and locates the object again, within its retry budget.
     ///
     /// # Errors
     ///
@@ -899,15 +925,10 @@ impl Session {
     ///
     /// Fails on unknown namespace names.
     pub fn lock_async(&self, name: &str, target: &str) -> Result<Pending<LockKind>, MageError> {
-        let target = self.node_id(target)?;
-        let name = self.syms.intern(name);
-        let home_hint = self.home_hint(name);
+        let target = self.node_id(target)?.as_raw();
+        let key = CompKey::object(self.syms.intern(name));
         Ok(self.issue(
-            Command::Lock {
-                name,
-                target: target.as_raw(),
-                home_hint,
-            },
+            self.stay(key, Guard::Take { target }),
             Completion::Outcome {
                 located: None,
                 decode: |outcome| {
@@ -919,16 +940,18 @@ impl Session {
         ))
     }
 
-    /// Releases this client's lock on `name`.
+    /// Releases this client's lock on `name`, located like
+    /// [`lock`](Session::lock) locates it.
     ///
     /// # Errors
     ///
-    /// Fails if the object cannot be located.
+    /// Fails if the object cannot be located, or if the unlock request
+    /// fails (for example [`MageError::Unreachable`] when the object's
+    /// host is cut off).
     pub fn unlock(&self, name: &str) -> Result<(), MageError> {
-        let name = self.syms.intern(name);
-        let home_hint = self.home_hint(name);
+        let key = CompKey::object(self.syms.intern(name));
         self.issue(
-            Command::Unlock { name, home_hint },
+            self.stay(key, Guard::Release),
             Completion::Outcome {
                 located: None,
                 decode: |_| Ok(()),

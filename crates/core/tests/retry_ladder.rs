@@ -8,7 +8,7 @@
 
 use mage_core::attribute::{Cle, Grev, Rev};
 use mage_core::workload_support::{methods, test_object_class};
-use mage_core::{MageError, NodeConfig, ObjectSpec, Runtime, Visibility};
+use mage_core::{LockKind, MageError, NodeConfig, ObjectSpec, Runtime, Visibility};
 use mage_sim::SimDuration;
 
 fn runtime(nodes: &[&str], race_retries: u8) -> Runtime {
@@ -166,5 +166,37 @@ fn guarded_bind_meeting_a_recreation_relocks_the_successor() {
     assert!(
         matches!(err, MageError::StaleIdentity { .. }),
         "without retries the refused lock surfaces, got {err:?}"
+    );
+}
+
+/// Row `AwaitLock` + unreachable → lock again, for an explicit lock.
+///
+/// The client's registry says the object is at `dead`, which has
+/// crashed. An explicit lock takes the registry's word, so its request
+/// meets the dead host; the engine forgets that entry, locates the object
+/// from its home and locks it there.
+fn lock_meets_a_dead_registry_entry(race_retries: u8) -> Result<LockKind, MageError> {
+    let mut rt = runtime(&["home", "dead", "c"], race_retries);
+    let home = rt.session("home").unwrap();
+    home.create(ObjectSpec::new("obj").class("TestObject"))
+        .unwrap();
+    rt.seed_registry_entry("c", "obj", "dead").unwrap();
+    rt.crash("dead").unwrap();
+    rt.session("c").unwrap().lock("obj", "c")
+}
+
+#[test]
+fn lock_meeting_a_dead_registry_entry_relocates_from_the_home() {
+    assert_eq!(
+        lock_meets_a_dead_registry_entry(default_retries()).unwrap(),
+        LockKind::Move
+    );
+    let dead = runtime(&["home", "dead", "c"], 0).node_id("dead").unwrap();
+    assert_eq!(
+        lock_meets_a_dead_registry_entry(0).unwrap_err(),
+        MageError::Unreachable {
+            peer: dead.as_raw()
+        },
+        "without retries the refused lock surfaces"
     );
 }

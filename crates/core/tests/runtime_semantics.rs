@@ -345,6 +345,31 @@ fn lock_waiters_bounce_and_retry_when_object_migrates() {
 }
 
 #[test]
+fn unlock_across_a_partition_from_the_host_fails_unreachable() {
+    let mut rt = fast_runtime(&["host", "client"]);
+    with_object(&mut rt, "host", "shared");
+    let client = rt.session("client").unwrap();
+    assert_eq!(client.lock("shared", "client").unwrap(), LockKind::Move);
+    // The unlock cannot reach the host: its failure is the outcome, not
+    // a note, and the lock is still held.
+    rt.partition_between("client", "host").unwrap();
+    let host_id = rt.node_id("host").unwrap().as_raw();
+    assert_eq!(
+        client.unlock("shared").unwrap_err(),
+        MageError::Unreachable { peer: host_id }
+    );
+    let other = rt.session("host").unwrap();
+    let queued = other.lock_async("shared", "host").unwrap();
+    rt.advance(SimDuration::from_millis(50)).unwrap();
+    assert!(!queued.is_done(), "the client's move lock is still held");
+    // Once healed, the same unlock goes through and the waiter is granted.
+    rt.heal_between("client", "host").unwrap();
+    client.unlock("shared").unwrap();
+    assert_eq!(queued.wait().unwrap(), LockKind::Stay);
+    other.unlock("shared").unwrap();
+}
+
+#[test]
 fn trust_policy_blocks_migration_into_namespace() {
     let mut rt = fast_runtime(&["lab", "fortress"]);
     with_object(&mut rt, "lab", "spy");
@@ -440,6 +465,17 @@ fn find_fails_for_unknown_components() {
     let rt = fast_runtime(&["a", "b"]);
     let err = rt.session("a").unwrap().find("ghost").unwrap_err();
     assert!(matches!(err, MageError::NotFound(_)), "{err:?}");
+}
+
+#[test]
+fn class_find_answers_the_deploying_node() {
+    let mut rt = fast_runtime(&["lab", "sensor1"]);
+    rt.deploy_class("TestObject", "lab").unwrap();
+    let lab_id = rt.node_id("lab").unwrap();
+    for node in ["lab", "sensor1"] {
+        let session = rt.session(node).unwrap();
+        assert_eq!(session.find("class:TestObject").unwrap(), lab_id, "{node}");
+    }
 }
 
 #[test]
