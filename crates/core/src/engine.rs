@@ -40,8 +40,10 @@ use crate::registry::{CompKey, Incarnation, Located};
 
 /// A continuation awaiting an RMI reply (keyed by its call token).
 pub(crate) enum Task {
-    /// A client operation's execution ladder.
-    Exec(Box<ExecTask>),
+    /// A client operation's execution ladder, stored unboxed: a task
+    /// moves in and out of the table at every phase, and boxing it would
+    /// cost an allocation each time.
+    Exec(ExecTask),
     /// A find being forwarded along the chain on behalf of a caller.
     FwdFind {
         reply: ReplyHandle,
@@ -144,7 +146,9 @@ pub(crate) struct ExecTask {
     pub locked_at: Option<NodeId>,
     pub lock_kind: Option<LockKind>,
     pub invoke_at: Option<NodeId>,
-    pub result: Option<Vec<u8>>,
+    /// The invocation's marshalled result: for a remote invocation, a
+    /// zero-copy slice of the reply frame.
+    pub result: Option<Bytes>,
     pub retries: u8,
     /// The error this task surfaces unless it recovers: set while the lock
     /// is released after a failure, or while the backup is consulted.
@@ -207,13 +211,7 @@ impl MageNode {
             home,
             retried,
         };
-        env.call(
-            start,
-            self.ids.service,
-            self.ids.find,
-            mage_codec::to_bytes(&args).expect("find args encode"),
-            token,
-        );
+        self.call_service(env, start, self.ids.find, &args, token);
     }
 
     /// The once-only home retry of a find walk that dead-ended: unless
@@ -315,13 +313,7 @@ impl MageNode {
         args: &proto::ReceiveClassArgs,
         token: u64,
     ) {
-        env.call(
-            dest,
-            self.ids.service,
-            self.ids.receive_class,
-            mage_codec::to_bytes(args).expect("class args encode"),
-            token,
-        );
+        self.call_service(env, dest, self.ids.receive_class, args, token);
     }
 
     /// Routes an RMI reply to the task that issued the call.
@@ -389,7 +381,7 @@ impl MageNode {
                     }
                 }
             }
-            Task::Exec(t) => self.step_exec_reply(env, token, *t, result),
+            Task::Exec(t) => self.step_exec_reply(env, token, t, result),
             Task::MoveOut(t) => self.step_move(env, token, t, result),
             Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
         }
@@ -418,11 +410,13 @@ impl MageNode {
                 Err(RmiError::Fault(Fault::ClassMissing(_))),
             ) => {
                 let Some(class_args) = self.class_args(task.args.class) else {
-                    env.note(format!(
-                        "checkpoint of {} dropped: class {} undefined",
-                        self.name_str(task.name),
-                        self.syms.resolve_lossy(task.args.class)
-                    ));
+                    if env.trace_enabled() {
+                        env.note(format!(
+                            "checkpoint of {} dropped: class {} undefined",
+                            self.name_str(task.name),
+                            self.syms.resolve_lossy(task.args.class)
+                        ));
+                    }
                     return;
                 };
                 self.push_class(env, task.dest, &class_args, token);
@@ -430,13 +424,7 @@ impl MageNode {
                 self.tasks.insert(token, Task::Checkpoint(task));
             }
             (ShipPhase::SentClass, Ok(_)) => {
-                env.call(
-                    task.dest,
-                    self.ids.service,
-                    self.ids.checkpoint,
-                    mage_codec::to_bytes(&task.args).expect("checkpoint args encode"),
-                    token,
-                );
+                self.call_service(env, task.dest, self.ids.checkpoint, &task.args, token);
                 task.phase = ShipPhase::SentPayload {
                     retried_class: true,
                 };
@@ -511,13 +499,7 @@ impl MageNode {
         };
         let token = self.next_task;
         self.next_task += 1;
-        env.call(
-            dest,
-            self.ids.service,
-            self.ids.receive,
-            mage_codec::to_bytes(&receive_args).expect("receive args encode"),
-            token,
-        );
+        self.call_service(env, dest, self.ids.receive, &receive_args, token);
         self.tasks.insert(
             token,
             Task::MoveOut(MoveOutTask {
@@ -568,13 +550,7 @@ impl MageNode {
                 self.tasks.insert(token, Task::MoveOut(task));
             }
             (ShipPhase::SentClass, Ok(_)) => {
-                env.call(
-                    task.dest,
-                    self.ids.service,
-                    self.ids.receive,
-                    mage_codec::to_bytes(&task.receive_args).expect("receive args encode"),
-                    token,
-                );
+                self.call_service(env, task.dest, self.ids.receive, &task.receive_args, token);
                 task.phase = ShipPhase::SentPayload {
                     retried_class: true,
                 };
@@ -651,11 +627,13 @@ impl MageNode {
                 crate::lock::Request::Queued => {}
             }
         }
-        env.note(format!(
-            "move of {} to {} failed: {err}",
-            self.name_str(task.name),
-            task.dest
-        ));
+        if env.trace_enabled() {
+            env.note(format!(
+                "move of {} to {} failed: {err}",
+                self.name_str(task.name),
+                task.dest
+            ));
+        }
         self.finish_move_failed(env, task.origin, err);
     }
 
@@ -687,7 +665,7 @@ impl MageNode {
                     self.exec_move_done(
                         env,
                         exec_id,
-                        *t,
+                        t,
                         Ok((task.dest, task.receive_args.incarnation)),
                     );
                 }
@@ -708,11 +686,13 @@ impl MageNode {
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(env, exec_id, *t, Err(err));
+                    self.exec_move_done(env, exec_id, t, Err(err));
                 }
             }
             MoveOrigin::Autonomous => {
-                env.note(format!("autonomous hop failed: {err}"));
+                if env.trace_enabled() {
+                    env.note(format!("autonomous hop failed: {err}"));
+                }
             }
         }
     }

@@ -190,7 +190,7 @@ impl MageNode {
     /// task on the find the locate step sent. Without a location hint a
     /// bind or a find walks the forwarding chain (find before use, §3.5);
     /// a lock or an unlock takes the registry's word, else asks the home.
-    fn exec_locate(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, resume: Resume) {
+    fn exec_locate(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, resume: Resume) {
         let hint = task.spec.location_hint.map(|node| {
             let inc = task.spec.expected_incarnation.unwrap_or(Incarnation::NONE);
             Located::new(NodeId::from_raw(node), inc)
@@ -199,11 +199,11 @@ impl MageNode {
         match self.locate(env, task.spec.key, hint, task.spec.home_hint, walk, id) {
             Ok(Some(loc)) => self.exec_located(env, id, task, resume, loc),
             Ok(None) => {
-                task.phase = ExecPhase::AwaitFind {
+                let phase = ExecPhase::AwaitFind {
                     resume,
                     retried: false,
                 };
-                self.tasks.insert(id, Task::Exec(Box::new(task)));
+                self.exec_park(id, task, phase);
             }
             Err(e) => self.exec_unlocated(env, id, task, e),
         }
@@ -296,9 +296,15 @@ impl MageNode {
         self.exec_locate(env, id, task, resume);
     }
 
+    /// Parks `task` under `token` until the reply its `phase` awaits.
+    fn exec_park(&mut self, token: u64, mut task: ExecTask, phase: ExecPhase) {
+        task.phase = phase;
+        self.tasks.insert(token, Task::Exec(task));
+    }
+
     // ---- ladder stages ----
 
-    fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask, at: NodeId) {
+    fn exec_issue_lock(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, at: NodeId) {
         let target = task.lock_target(env.node());
         // The lock applies to the incarnation this plan resolved; a
         // re-creation racing the request is refused typed, not silently
@@ -309,15 +315,8 @@ impl MageNode {
             target: target.as_raw(),
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.lock,
-            mage_codec::to_bytes(&args).expect("lock args encode"),
-            id,
-        );
-        task.phase = ExecPhase::AwaitLock { at };
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.call_service(env, at, self.ids.lock, &args, id);
+        self.exec_park(id, task, ExecPhase::AwaitLock { at });
     }
 
     fn exec_begin_action(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
@@ -346,7 +345,7 @@ impl MageNode {
                     let method = self.syms.resolve_lossy(invoke.method);
                     match self.invoke_local(env, name, &method, &invoke.args) {
                         Ok(bytes) => {
-                            task.result = Some(bytes);
+                            task.result = Some(Bytes::from(bytes));
                             self.exec_begin_unlock(env, id, task);
                         }
                         Err(fault) => {
@@ -378,8 +377,7 @@ impl MageNode {
                 } else if cloc == me {
                     // We host the object: run the transfer ourselves
                     // (Figure 7 without the moveTo hop).
-                    task.phase = ExecPhase::AwaitMove;
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                    self.exec_park(id, task, ExecPhase::AwaitMove);
                     self.begin_move_out(env, name, dest, MoveOrigin::Exec(id));
                 } else {
                     // Ask the hosting namespace to transfer the object
@@ -388,15 +386,8 @@ impl MageNode {
                         name,
                         dest: dest.as_raw(),
                     };
-                    env.call(
-                        cloc,
-                        self.ids.service,
-                        self.ids.move_to,
-                        mage_codec::to_bytes(&args).expect("move args encode"),
-                        id,
-                    );
-                    task.phase = ExecPhase::AwaitMove;
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                    self.call_service(env, cloc, self.ids.move_to, &args, id);
+                    self.exec_park(id, task, ExecPhase::AwaitMove);
                 }
             }
             ActionSpec::Instantiate {
@@ -450,7 +441,7 @@ impl MageNode {
         &mut self,
         env: &mut Env<'_, '_>,
         id: u64,
-        mut task: ExecTask,
+        task: ExecTask,
         dest: NodeId,
         retried_class: bool,
     ) {
@@ -475,29 +466,20 @@ impl MageNode {
             backup,
             replace,
         };
-        env.call(
-            dest,
-            self.ids.service,
-            self.ids.instantiate,
-            mage_codec::to_bytes(&args).expect("instantiate args encode"),
+        self.call_service(env, dest, self.ids.instantiate, &args, id);
+        self.exec_park(
             id,
+            task,
+            ExecPhase::AwaitInstantiate {
+                dest,
+                retried_class,
+            },
         );
-        task.phase = ExecPhase::AwaitInstantiate {
-            dest,
-            retried_class,
-        };
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
     }
 
     /// Starts class logistics for an instantiation at `dest`: fetch the
     /// class from wherever the registry (or the home hint) says it lives.
-    fn exec_fetch_class(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        id: u64,
-        mut task: ExecTask,
-        dest: NodeId,
-    ) {
+    fn exec_fetch_class(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask, dest: NodeId) {
         let me = env.node();
         let class = task.class();
         let source = self
@@ -514,15 +496,8 @@ impl MageNode {
         match source {
             Some(src) => {
                 let args = proto::FetchClassArgs { class };
-                env.call(
-                    src,
-                    self.ids.service,
-                    self.ids.fetch_class,
-                    mage_codec::to_bytes(&args).expect("fetch args encode"),
-                    id,
-                );
-                task.phase = ExecPhase::AwaitFetchClass { dest };
-                self.tasks.insert(id, Task::Exec(Box::new(task)));
+                self.call_service(env, src, self.ids.fetch_class, &args, id);
+                self.exec_park(id, task, ExecPhase::AwaitFetchClass { dest });
             }
             None => {
                 let class = self.name_str(class);
@@ -531,7 +506,7 @@ impl MageNode {
         }
     }
 
-    fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    fn exec_begin_invoke(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
         let Some(invoke) = task.spec.invoke.as_ref() else {
             self.exec_begin_unlock(env, id, task);
             return;
@@ -543,22 +518,20 @@ impl MageNode {
             args: &invoke.args,
             expected: task.cinc.filter(|inc| !inc.is_none()),
         };
-        let payload = mage_codec::to_bytes(&args).expect("invoke args encode");
         if invoke.one_way {
             // Fire and forget: route the eventual reply to a token nobody
             // owns. The result "stays at the remote host" (§5).
             let noop = self.next_task;
             self.next_task += 1;
-            env.call(at, self.ids.service, self.ids.invoke, payload, noop);
+            self.call_service(env, at, self.ids.invoke, &args, noop);
             self.exec_begin_unlock(env, id, task);
         } else {
-            env.call(at, self.ids.service, self.ids.invoke, payload, id);
-            task.phase = ExecPhase::AwaitInvoke;
-            self.tasks.insert(id, Task::Exec(Box::new(task)));
+            self.call_service(env, at, self.ids.invoke, &args, id);
+            self.exec_park(id, task, ExecPhase::AwaitInvoke);
         }
     }
 
-    fn exec_begin_unlock(&mut self, env: &mut Env<'_, '_>, id: u64, mut task: ExecTask) {
+    fn exec_begin_unlock(&mut self, env: &mut Env<'_, '_>, id: u64, task: ExecTask) {
         // An explicit lock keeps what it took.
         if task.locked_at.is_none() || matches!(task.spec.guard, Guard::Take { .. }) {
             self.exec_finish(env, task);
@@ -575,15 +548,8 @@ impl MageNode {
             name: task.spec.key.id,
             client: env.node().as_raw(),
         };
-        env.call(
-            at,
-            self.ids.service,
-            self.ids.unlock,
-            mage_codec::to_bytes(&args).expect("unlock args encode"),
-            id,
-        );
-        task.phase = ExecPhase::AwaitUnlock;
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.call_service(env, at, self.ids.unlock, &args, id);
+        self.exec_park(id, task, ExecPhase::AwaitUnlock);
     }
 
     fn exec_finish(&mut self, env: &mut Env<'_, '_>, task: ExecTask) {
@@ -659,18 +625,11 @@ impl MageNode {
             };
         }
         let args = proto::RestoreArgs { name };
-        env.call(
-            backup,
-            self.ids.service,
-            self.ids.restore,
-            mage_codec::to_bytes(&args).expect("restore args encode"),
-            id,
-        );
+        self.call_service(env, backup, self.ids.restore, &args, id);
         // No lock is held here, so `failure` is free to carry the error
         // that surfaces if the backup cannot restore.
         task.failure = Some(err.clone());
-        task.phase = ExecPhase::AwaitRestore;
-        self.tasks.insert(id, Task::Exec(Box::new(task)));
+        self.exec_park(id, task, ExecPhase::AwaitRestore);
         None
     }
 
@@ -726,8 +685,10 @@ impl MageNode {
                     Err(e) if task.spec.guard == Guard::Release => {
                         task.failure = Some(rmi_error_to_mage(&e));
                     }
-                    Err(e) => env.note(format!("unlock after bind failed: {e}")),
-                    Ok(_) => {}
+                    Err(e) if env.trace_enabled() => {
+                        env.note(format!("unlock after bind failed: {e}"));
+                    }
+                    _ => {}
                 }
                 task.locked_at = None;
                 self.exec_finish(env, task);
@@ -758,8 +719,7 @@ impl MageNode {
                     // (traditional REV ships local code to the server).
                     let class_args = self.class_args(class).expect("cached class defined");
                     self.push_class(env, dest, &class_args, id);
-                    task.phase = ExecPhase::AwaitPushClass { dest };
-                    self.tasks.insert(id, Task::Exec(Box::new(task)));
+                    self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
                 } else {
                     // Neither we nor the target have it: pull it first
                     // (GREV-style third-party placement).
@@ -773,11 +733,11 @@ impl MageNode {
                     let (key, home) = (task.spec.key, task.spec.home_hint);
                     self.registry.remove(key);
                     if let Some(token) = self.retry_find_from_home(env, key, home, retried) {
-                        task.phase = ExecPhase::AwaitFind {
+                        let phase = ExecPhase::AwaitFind {
                             resume,
                             retried: true,
                         };
-                        self.tasks.insert(token, Task::Exec(Box::new(task)));
+                        self.exec_park(token, task, phase);
                         return;
                     }
                 }
@@ -818,8 +778,7 @@ impl MageNode {
                             self.exec_begin_action(env, id, task);
                         } else {
                             self.push_class(env, dest, &class_args, id);
-                            task.phase = ExecPhase::AwaitPushClass { dest };
-                            self.tasks.insert(id, Task::Exec(Box::new(task)));
+                            self.exec_park(id, task, ExecPhase::AwaitPushClass { dest });
                         }
                     }
                     Err(e) => self.exec_fail(env, id, task, e),
@@ -848,7 +807,7 @@ impl MageNode {
                 self.exec_begin_invoke(env, id, task);
             }
             (ExecPhase::AwaitInvoke, Ok(bytes)) => {
-                task.result = Some(bytes.to_vec());
+                task.result = Some(bytes);
                 self.exec_begin_unlock(env, id, task);
             }
         }

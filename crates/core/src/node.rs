@@ -178,6 +178,9 @@ pub struct MageNode {
     /// The runtime's op desk: driver commands arrive here, outcomes
     /// leave here.
     desk: SharedDesk,
+    /// Reused encode buffer for service-call arguments (see
+    /// [`MageNode::call_service`]).
+    args_buf: Vec<u8>,
 }
 
 /// A find parked while its object is in transit: a remote call to answer
@@ -227,6 +230,7 @@ impl MageNode {
             transit_finds: BTreeMap::new(),
             backups: BTreeMap::new(),
             desk,
+            args_buf: Vec::new(),
         }
     }
 
@@ -285,6 +289,23 @@ impl MageNode {
         id
     }
 
+    /// Calls system-service `method` on `to` with `args`, the reply going
+    /// to `token`. The only encoder of service requests: the arguments
+    /// are written into one reused buffer, which the endpoint copies
+    /// into the request frame, so encoding them allocates nothing.
+    pub(crate) fn call_service(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        to: NodeId,
+        method: NameId,
+        args: &impl serde::Serialize,
+        token: u64,
+    ) {
+        self.args_buf.clear();
+        mage_codec::to_bytes_in(args, &mut self.args_buf).expect("service args encode");
+        env.call(to, self.ids.service, method, &self.args_buf, token);
+    }
+
     /// Completes a driver operation: the typed result goes on the desk,
     /// and the world's op completes with an empty payload.
     pub(crate) fn complete(&mut self, env: &mut Env<'_, '_>, op: OpId, result: OpResult) {
@@ -334,19 +355,13 @@ impl MageNode {
             home: args.home,
             retried: args.retried,
         });
-        env.call(
-            next,
-            self.ids.service,
-            self.ids.find,
-            mage_codec::to_bytes(&proto::FindArgs {
-                key: args.key,
-                visited,
-                home: args.home,
-                retried: args.retried,
-            })
-            .expect("find args encode"),
-            token,
-        );
+        let forward = proto::FindArgs {
+            key: args.key,
+            visited,
+            home: args.home,
+            retried: args.retried,
+        };
+        self.call_service(env, next, self.ids.find, &forward, token);
         CallOutcome::Deferred
     }
 
@@ -496,9 +511,8 @@ impl MageNode {
             return Err(Fault::NotBound(self.name_str(name)));
         }
         let mut hosted = self.objects.remove(&name).expect("checked above");
-        let node_name = self.name.clone();
         let (result, consumed, hop) = {
-            let mut menv = MobileEnv::new(env.node(), &node_name, env.now(), env.rng());
+            let mut menv = MobileEnv::new(env.node(), &self.name, env.now(), env.rng());
             let result = hosted.object.invoke(method, args, &mut menv);
             let consumed = menv.consumed();
             let hop = menv.take_hop_request();
@@ -518,12 +532,13 @@ impl MageNode {
                     self.begin_move_out(env, name, dest, MoveOrigin::Autonomous);
                 }
                 Some(_) => {} // hop to self: nothing to do
-                None => {
+                None if env.trace_enabled() => {
                     let name = self.name_str(name);
                     env.note(format!(
                         "agent {name} requested hop to unknown namespace {dest_name:?}"
                     ));
                 }
+                None => {}
             }
         }
         result
@@ -908,7 +923,9 @@ impl MageNode {
         let state = match hosted.object.snapshot() {
             Ok(state) => state,
             Err(fault) => {
-                env.note(format!("checkpoint snapshot failed: {fault}"));
+                if env.trace_enabled() {
+                    env.note(format!("checkpoint snapshot failed: {fault}"));
+                }
                 return;
             }
         };
@@ -929,21 +946,18 @@ impl MageNode {
             self.store_backup(env, args);
             return;
         }
-        let token = self.spawn_task(Task::Checkpoint(crate::engine::CheckpointTask {
+        let token = self.next_task;
+        self.next_task += 1;
+        self.call_service(env, backup, self.ids.checkpoint, &args, token);
+        let task = crate::engine::CheckpointTask {
             name,
             dest: backup,
-            args: args.clone(),
+            args,
             phase: crate::engine::ShipPhase::SentPayload {
                 retried_class: false,
             },
-        }));
-        env.call(
-            backup,
-            self.ids.service,
-            self.ids.checkpoint,
-            mage_codec::to_bytes(&args).expect("checkpoint args encode"),
-            token,
-        );
+        };
+        self.tasks.insert(token, Task::Checkpoint(task));
     }
 
     /// Accepts (or refuses as stale) a durability snapshot. Returns

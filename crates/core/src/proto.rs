@@ -14,6 +14,7 @@
 //! one [`Command::Execute`]: a find, a lock and an unlock are execution
 //! plans that place nothing, run by the same engine ladder as a bind.
 
+use bytes::Bytes;
 use mage_rmi::NameId;
 use serde::{Deserialize, Serialize};
 
@@ -451,8 +452,9 @@ pub struct Outcome {
     /// Incarnation of the object acted upon ([`Incarnation::NONE`] when
     /// the operation tracked no object identity).
     pub incarnation: Incarnation,
-    /// Invocation result, if the operation invoked something and waited.
-    pub result: Option<Vec<u8>>,
+    /// Invocation result, if the operation invoked something and waited:
+    /// for a remote invocation, a zero-copy slice of the reply frame.
+    pub result: Option<Bytes>,
     /// Lock kind, for lock operations.
     pub lock_kind: Option<LockKind>,
     /// How Table 2 coercion resolved a bind.

@@ -51,6 +51,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use mage_rmi::{NameId, SymbolTable};
 use mage_sim::NodeId;
 use serde::de::DeserializeOwned;
@@ -126,8 +127,9 @@ pub struct BindReceipt {
     pub coerced: Coerced,
     /// Lock kind acquired, when the plan was guarded.
     pub lock_kind: Option<LockKind>,
-    /// Invocation result, when the bind included one.
-    pub result: Option<Vec<u8>>,
+    /// Marshalled invocation result, when the bind included one (for a
+    /// remote invocation, a zero-copy slice of the reply frame).
+    pub result: Option<Bytes>,
 }
 
 /// The per-client cache a session owns (§3.5), keyed by interned

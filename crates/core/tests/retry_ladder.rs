@@ -31,13 +31,16 @@ fn default_retries() -> u8 {
     NodeConfig::default().race_retries
 }
 
-/// Row `AwaitFind` + unreachable → resume where the find was for.
+/// Row `AwaitInvoke` + stale location → find again, whose walk then
+/// meets a dead hop.
 ///
-/// A stub call misses at its cached location, so the engine re-finds the
-/// object from its home. The home's forwarding entry points at a dead
-/// node, and the walk fails `Unreachable` after the RMI retries run out.
-/// Meanwhile the object migrates to the home itself, so the retried find
-/// resolves there and the call goes through.
+/// A stub call misses at its cached location, so the engine spends a
+/// retry and re-finds the object from its home. The home's forwarding
+/// entry points at a dead node, and the walk fails `Unreachable` after
+/// the RMI retries run out. A find is not a row of the table: the walk
+/// drops the dead entry and retries once from the home, spending no
+/// retry budget. Meanwhile the object migrates to the home itself, so the
+/// retried walk resolves there and the call goes through.
 fn find_walk_meets_a_dead_hop(race_retries: u8) -> Result<i64, MageError> {
     let mut rt = runtime(&["home", "dead", "b", "client"], race_retries);
     let home = rt.session("home").unwrap();

@@ -4,38 +4,71 @@
 //! no MAGE machinery, just a stub call to a named object on a known node.
 
 use bytes::Bytes;
+use mage_codec::DecodeError;
 use mage_sim::{NodeId, OpId, SimError, World};
-use serde::{Deserialize, Serialize};
 
 use crate::endpoint::{App, Config, Endpoint, Env};
 use crate::error::RmiError;
 use crate::object::RemoteObject;
 
 /// Driver command understood by a [`client_endpoint`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DriverCmd {
+///
+/// Every field borrows: [`drive_call`] encodes one straight from its
+/// arguments, and the client decodes it in place from the injected
+/// payload, so neither side copies the names or the arguments.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DriverCmd<'a> {
     /// Raw [`OpId`] to complete when the call finishes.
     pub op: u64,
     /// Raw id of the target node.
     pub to: u32,
     /// Name of the remote object.
-    pub object: String,
+    pub object: &'a str,
     /// Method to invoke.
-    pub method: String,
+    pub method: &'a str,
     /// Marshalled arguments.
-    pub args: Vec<u8>,
+    pub args: &'a [u8],
 }
 
-/// Completion payload: the call's result or a stringified client error.
-type DriveOutcome = Result<Vec<u8>, String>;
+/// The wire form of a [`DriverCmd`]: its fields back to back, as a
+/// struct derive would encode them (the vendored derive takes no
+/// lifetimes).
+type WireCmd<'a> = (u64, u32, &'a str, &'a str, &'a [u8]);
 
-/// App that executes one plain RMI call per injected [`DriverCmd`].
+impl<'a> DriverCmd<'a> {
+    /// Encodes the command into a fresh buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        let wire: WireCmd<'_> = (self.op, self.to, self.object, self.method, self.args);
+        mage_codec::to_bytes(&wire).expect("command encodes")
+    }
+
+    /// Decodes a command in place: its names and arguments borrow from
+    /// `payload`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a codec error for a truncated or malformed payload.
+    pub fn decode(payload: &'a [u8]) -> Result<Self, DecodeError> {
+        let (op, to, object, method, args): WireCmd<'a> = mage_codec::from_bytes(payload)?;
+        Ok(DriverCmd {
+            op,
+            to,
+            object,
+            method,
+            args,
+        })
+    }
+}
+
+/// App that executes one plain RMI call per injected [`DriverCmd`]. The
+/// op completes with the reply's bytes, or fails with the stringified
+/// client error.
 #[derive(Debug, Default)]
 pub struct DriverClient;
 
 impl App for DriverClient {
     fn on_driver(&mut self, env: &mut Env<'_, '_>, payload: Bytes) {
-        match mage_codec::from_bytes::<DriverCmd>(&payload) {
+        match DriverCmd::decode(&payload) {
             Ok(cmd) => {
                 env.call(
                     NodeId::from_raw(cmd.to),
@@ -45,14 +78,17 @@ impl App for DriverClient {
                     cmd.op,
                 );
             }
-            Err(err) => env.note(format!("bad driver command: {err}")),
+            Err(err) if env.trace_enabled() => env.note(format!("bad driver command: {err}")),
+            Err(_) => {}
         }
     }
 
     fn on_reply(&mut self, env: &mut Env<'_, '_>, token: u64, result: Result<Bytes, RmiError>) {
-        let outcome: DriveOutcome = result.map(|b| b.to_vec()).map_err(|e| e.to_string());
-        let bytes = mage_codec::to_bytes(&outcome).expect("outcome encodes");
-        env.complete_op(OpId::from_raw(token), Bytes::from(bytes));
+        let op = OpId::from_raw(token);
+        match result {
+            Ok(bytes) => env.complete_op(op, bytes),
+            Err(err) => env.fail_op(op, err.to_string()),
+        }
     }
 }
 
@@ -91,16 +127,17 @@ pub fn drive_call(
     let cmd = DriverCmd {
         op: op.as_raw(),
         to: server.as_raw(),
-        object: object.to_owned(),
-        method: method.to_owned(),
-        args,
+        object,
+        method,
+        args: &args,
     };
-    let payload = Bytes::from(mage_codec::to_bytes(&cmd).expect("command encodes"));
+    let payload = Bytes::from(cmd.encode());
     world.inject(client, "drive-call", payload);
-    let completion = world.block_on(op)?;
-    let outcome: DriveOutcome =
-        mage_codec::from_bytes(&completion).expect("completion payload decodes");
-    Ok(outcome)
+    match world.block_on(op) {
+        Ok(reply) => Ok(Ok(reply.to_vec())),
+        Err(SimError::Op(err)) => Ok(Err(err)),
+        Err(err) => Err(err),
+    }
 }
 
 #[cfg(test)]
@@ -112,11 +149,11 @@ mod tests {
         let cmd = DriverCmd {
             op: 3,
             to: 1,
-            object: "counter".into(),
-            method: "add".into(),
-            args: vec![5],
+            object: "counter",
+            method: "add",
+            args: &[5],
         };
-        let bytes = mage_codec::to_bytes(&cmd).unwrap();
-        assert_eq!(mage_codec::from_bytes::<DriverCmd>(&bytes).unwrap(), cmd);
+        let bytes = cmd.encode();
+        assert_eq!(DriverCmd::decode(&bytes).unwrap(), cmd);
     }
 }

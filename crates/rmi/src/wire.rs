@@ -4,8 +4,9 @@
 //! as interned [`NameId`]s with the backing string attached only on first
 //! use per peer ([`NameRef`]), `args`/results are ref-counted [`Bytes`]
 //! slices of the received frame (zero copy on decode), and encoding goes
-//! through a caller-supplied scratch buffer (zero steady-state allocation
-//! beyond the frame itself).
+//! through a caller-supplied scratch buffer: an encode allocates the
+//! frame's own buffer, plus the marshalled fault of a fault response, and
+//! nothing else (the per-op totals are tabled in the endpoint module).
 //!
 //! Every frame header carries incarnation epochs: each message states its
 //! sender's epoch (a boot counter bumped on every crash), and responses

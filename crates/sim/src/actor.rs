@@ -116,10 +116,15 @@ pub(crate) enum Effect {
 
 /// Handle through which an actor interacts with the world during one
 /// dispatch.
+///
+/// Effects collect in the world's one effect buffer, which every dispatch
+/// borrows and the scheduler drains once the handler returns: requesting
+/// an effect allocates nothing once that buffer has grown to the largest
+/// dispatch's needs.
 pub struct Context<'a> {
     pub(crate) node: NodeId,
     pub(crate) now: SimTime,
-    pub(crate) effects: Vec<Effect>,
+    pub(crate) effects: &'a mut Vec<Effect>,
     pub(crate) rng: &'a mut StdRng,
     pub(crate) next_timer: &'a mut u64,
     pub(crate) trace_on: bool,
@@ -135,11 +140,13 @@ impl<'a> Context<'a> {
         next_timer: &'a mut u64,
         trace_on: bool,
         epochs: &'a [u64],
+        effects: &'a mut Vec<Effect>,
     ) -> Self {
+        debug_assert!(effects.is_empty(), "the effect buffer is drained");
         Context {
             node,
             now,
-            effects: Vec::new(),
+            effects,
             rng,
             next_timer,
             trace_on,
@@ -278,6 +285,7 @@ mod tests {
     fn context_collects_effects_in_order() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut next_timer = 0;
+        let mut effects = Vec::new();
         let mut ctx = Context::new(
             NodeId::from_raw(0),
             SimTime::ZERO,
@@ -285,6 +293,7 @@ mod tests {
             &mut next_timer,
             false,
             &[],
+            &mut effects,
         );
         ctx.send(NodeId::from_raw(1), "a", Bytes::from_static(b"x"));
         let t = ctx.set_timer(SimDuration::from_millis(1), 7);
@@ -306,6 +315,7 @@ mod tests {
     fn timer_ids_are_unique() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut next_timer = 0;
+        let mut effects = Vec::new();
         let mut ctx = Context::new(
             NodeId::from_raw(0),
             SimTime::ZERO,
@@ -313,6 +323,7 @@ mod tests {
             &mut next_timer,
             false,
             &[],
+            &mut effects,
         );
         let a = ctx.set_timer(SimDuration::ZERO, 0);
         let b = ctx.set_timer(SimDuration::ZERO, 0);

@@ -120,6 +120,10 @@ enum OpSlot {
 /// A deterministic simulated distributed system: a set of named nodes (the
 /// paper's *namespaces*), a network fabric, and a virtual clock.
 ///
+/// The world owns one effect buffer that every actor dispatch reuses, so
+/// once warmed a dispatch allocates nothing beyond what the actor itself
+/// allocates.
+///
 /// # Examples
 ///
 /// ```
@@ -159,6 +163,10 @@ pub struct World {
     next_timer: u64,
     next_msg: u64,
     event_budget: u64,
+    /// The effect buffer each dispatch borrows and the scheduler drains,
+    /// keeping its capacity. Dispatch is not reentrant (see
+    /// `with_actor`), so one suffices.
+    effects: Vec<Effect>,
 }
 
 impl World {
@@ -188,6 +196,7 @@ impl World {
             next_timer: 0,
             next_msg: 0,
             event_budget: DEFAULT_EVENT_BUDGET,
+            effects: Vec::new(),
         }
     }
 
@@ -621,14 +630,16 @@ impl World {
             &mut self.next_timer,
             trace_on,
             &self.epochs,
+            &mut self.effects,
         );
         run(actor.as_mut(), &mut ctx);
-        let effects = std::mem::take(&mut ctx.effects);
         self.nodes[idx].actor = Some(actor);
-        self.apply_effects(node, effects);
+        let mut effects = std::mem::take(&mut self.effects);
+        self.apply_effects(node, effects.drain(..));
+        self.effects = effects;
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {
+    fn apply_effects(&mut self, node: NodeId, effects: impl Iterator<Item = Effect>) {
         for effect in effects {
             match effect {
                 Effect::Send {
