@@ -8,9 +8,12 @@
 //! * [`ExecTask`] — the one client engine, run on the client's node for
 //!   every session operation but local creation: binds, invocations,
 //!   remote creation, and finds, locks and unlocks
-//! * [`MoveOutTask`] — the hosting node's half of the move protocol
-//!   (Figure 7's messages 4/5), shared by `moveTo` requests, client-local
-//!   moves and autonomous mobile-agent hops
+//! * [`Task::Ship`] — a component shipped out of the hosting node: an
+//!   object's move (Figure 7's messages 4/5; `moveTo` requests,
+//!   client-local moves and autonomous mobile-agent hops) or a durability
+//!   checkpoint to the backup home. Both push the class and resend when
+//!   the receiver lacks it; only the final outcome branches on the
+//!   [`Cargo`]
 //! * forwarded finds — the registry's chain-walking with path compression
 //!
 //! The exec engine asks `MageNode::locate` where a component is: the
@@ -53,26 +56,30 @@ pub(crate) enum Task {
         /// Whether this walk is already the once-only home retry.
         retried: bool,
     },
-    /// An object transfer out of this namespace.
-    MoveOut(MoveOutTask),
-    /// A durability snapshot in flight to a backup home.
-    Checkpoint(CheckpointTask),
+    /// Cargo shipped out of this namespace to `dest`.
+    Ship {
+        dest: NodeId,
+        phase: ShipPhase,
+        cargo: Cargo,
+    },
 }
 
-/// Whether a shipping task (a checkpoint or a move-out) awaits the ack of
-/// its payload or of an interposed class push: the receiver must hold the
-/// class to reify (or later restore) the object.
+/// Which ack a shipment awaits. The receiver must hold the class to reify
+/// (or later restore) the object, so a first `ClassMissing` refusal pushes
+/// the class and resends the cargo once.
 #[derive(Clone, Copy)]
 pub(crate) enum ShipPhase {
-    SentPayload { retried_class: bool },
-    SentClass,
+    Sent,
+    PushingClass,
+    Resent,
 }
 
-pub(crate) struct CheckpointTask {
-    pub name: NameId,
-    pub dest: NodeId,
-    pub args: proto::CheckpointArgs,
-    pub phase: ShipPhase,
+/// What a [`Task::Ship`] carries.
+pub(crate) enum Cargo {
+    /// An object moving to a new host; the move commits or aborts.
+    Move(MoveCargo),
+    /// A durability snapshot for the backup home, kept or dropped there.
+    Checkpoint(proto::CheckpointArgs),
 }
 
 /// Why a move was started; decides who hears about the outcome.
@@ -85,12 +92,11 @@ pub(crate) enum MoveOrigin {
     Autonomous,
 }
 
-pub(crate) struct MoveOutTask {
-    pub name: NameId,
-    pub dest: NodeId,
+/// An object on its way out: who hears the outcome, and the receive
+/// request that carries it.
+pub(crate) struct MoveCargo {
     pub origin: MoveOrigin,
-    pub phase: ShipPhase,
-    pub receive_args: proto::ReceiveArgs,
+    pub args: proto::ReceiveArgs,
     /// Waiters removed from the lock queue at pack time. Bounced after the
     /// move commits (so their re-find sees the forwarding address) or
     /// re-queued if the move aborts.
@@ -382,67 +388,76 @@ impl MageNode {
                 }
             }
             Task::Exec(t) => self.step_exec_reply(env, token, t, result),
-            Task::MoveOut(t) => self.step_move(env, token, t, result),
-            Task::Checkpoint(t) => self.step_checkpoint(env, token, t, result),
+            Task::Ship { dest, phase, cargo } => {
+                self.step_ship(env, token, dest, phase, cargo, result);
+            }
         }
     }
 
-    // ---- durability checkpoint shipping ----
+    // ---- shipping: moves and checkpoints ----
 
-    /// Drives one checkpoint to its backup home. Failures other than a
-    /// recoverable `ClassMissing` are abandoned: the next mutation ships a
-    /// strictly fresher snapshot, and a dead backup cannot be helped by
-    /// retrying into it.
-    fn step_checkpoint(
+    /// Ships `cargo` to `dest` under a fresh token.
+    pub(crate) fn ship(&mut self, env: &mut Env<'_, '_>, dest: NodeId, cargo: Cargo) {
+        let token = self.next_task;
+        self.next_task += 1;
+        self.send_cargo(env, dest, &cargo, token);
+        let phase = ShipPhase::Sent;
+        self.tasks.insert(token, Task::Ship { dest, phase, cargo });
+    }
+
+    fn send_cargo(&mut self, env: &mut Env<'_, '_>, dest: NodeId, cargo: &Cargo, token: u64) {
+        match cargo {
+            Cargo::Move(m) => self.call_service(env, dest, self.ids.receive, &m.args, token),
+            Cargo::Checkpoint(args) => {
+                self.call_service(env, dest, self.ids.checkpoint, args, token);
+            }
+        }
+    }
+
+    /// Drives a shipment through its [`ShipPhase`]s; any failure but the
+    /// first `ClassMissing` is final. A move commits or aborts; a failed checkpoint is abandoned,
+    /// since the next mutation ships a strictly fresher snapshot and a dead
+    /// backup cannot be helped by retrying into it.
+    fn step_ship(
         &mut self,
         env: &mut Env<'_, '_>,
         token: u64,
-        mut task: CheckpointTask,
+        dest: NodeId,
+        phase: ShipPhase,
+        cargo: Cargo,
         result: Result<Bytes, RmiError>,
     ) {
-        match (task.phase, result) {
+        let (class, name) = match &cargo {
+            Cargo::Move(m) => (m.args.class, m.args.name),
+            Cargo::Checkpoint(args) => (args.class, args.name),
+        };
+        let phase = match (phase, &result) {
+            (ShipPhase::Sent, Err(RmiError::Fault(Fault::ClassMissing(_)))) => {
+                let class_args = self.class_args(class);
+                if let Some(args) = &class_args {
+                    self.push_class(env, dest, args, token);
+                }
+                class_args.map(|_| ShipPhase::PushingClass)
+            }
+            (ShipPhase::PushingClass, Ok(_)) => {
+                self.send_cargo(env, dest, &cargo, token);
+                Some(ShipPhase::Resent)
+            }
+            _ => None,
+        };
+        if let Some(phase) = phase {
+            self.tasks.insert(token, Task::Ship { dest, phase, cargo });
+            return;
+        }
+        match (cargo, result) {
+            (Cargo::Move(m), Ok(_)) => self.commit_move(env, dest, m),
+            (Cargo::Move(m), Err(e)) => self.abort_move(env, dest, m, rmi_error_to_mage(&e)),
             // Stored, or refused as stale; either way done.
-            (ShipPhase::SentPayload { .. }, Ok(_)) => {}
-            (
-                ShipPhase::SentPayload {
-                    retried_class: false,
-                },
-                Err(RmiError::Fault(Fault::ClassMissing(_))),
-            ) => {
-                let Some(class_args) = self.class_args(task.args.class) else {
-                    if env.trace_enabled() {
-                        env.note(format!(
-                            "checkpoint of {} dropped: class {} undefined",
-                            self.name_str(task.name),
-                            self.syms.resolve_lossy(task.args.class)
-                        ));
-                    }
-                    return;
-                };
-                self.push_class(env, task.dest, &class_args, token);
-                task.phase = ShipPhase::SentClass;
-                self.tasks.insert(token, Task::Checkpoint(task));
-            }
-            (ShipPhase::SentClass, Ok(_)) => {
-                self.call_service(env, task.dest, self.ids.checkpoint, &task.args, token);
-                task.phase = ShipPhase::SentPayload {
-                    retried_class: true,
-                };
-                self.tasks.insert(token, Task::Checkpoint(task));
-            }
-            (phase, Err(e)) => {
+            (Cargo::Checkpoint(_), Ok(_)) => {}
+            (Cargo::Checkpoint(_), Err(e)) => {
                 if env.trace_enabled() {
-                    let note = match phase {
-                        ShipPhase::SentPayload { .. } => format!(
-                            "checkpoint of {} to {} dropped: {e}",
-                            self.name_str(task.name),
-                            task.dest
-                        ),
-                        ShipPhase::SentClass => {
-                            format!("checkpoint class push to {} dropped: {e}", task.dest)
-                        }
-                    };
-                    env.note(note);
+                    let name = self.name_str(name);
+                    env.note(format!("checkpoint of {name} to {dest} dropped: {e}"));
                 }
             }
         }
@@ -475,92 +490,38 @@ impl MageNode {
             }
         };
         hosted.in_transit = true;
-        let class = hosted.class;
-        let home = hosted.home;
-        let visibility = hosted.visibility;
-        let version = hosted.version + 1;
-        let incarnation = hosted.incarnation;
-        let durability = hosted.durability;
-        let backup = hosted.backup;
-        let snapshot_epoch = hosted.snapshot_epoch;
         let (holders, parked_waiters) = self.locks.extract(name);
-        let receive_args = proto::ReceiveArgs {
+        let args = proto::ReceiveArgs {
             name,
-            class,
+            class: hosted.class,
             state,
-            home: home.as_raw(),
-            visibility,
-            version,
-            incarnation,
+            home: hosted.home.as_raw(),
+            visibility: hosted.visibility,
+            version: hosted.version + 1,
+            incarnation: hosted.incarnation,
             locks: holders,
-            durability,
-            backup: backup.map(|n| n.as_raw()),
-            snapshot_epoch,
+            durability: hosted.durability,
+            backup: hosted.backup.map(|n| n.as_raw()),
+            snapshot_epoch: hosted.snapshot_epoch,
         };
-        let token = self.next_task;
-        self.next_task += 1;
-        self.call_service(env, dest, self.ids.receive, &receive_args, token);
-        self.tasks.insert(
-            token,
-            Task::MoveOut(MoveOutTask {
-                name,
-                dest,
-                origin,
-                phase: ShipPhase::SentPayload {
-                    retried_class: false,
-                },
-                receive_args,
-                parked_waiters,
-            }),
-        );
+        let cargo = MoveCargo {
+            origin,
+            args,
+            parked_waiters,
+        };
+        self.ship(env, dest, Cargo::Move(cargo));
     }
 
-    fn step_move(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        token: u64,
-        mut task: MoveOutTask,
-        result: Result<Bytes, RmiError>,
-    ) {
-        match (task.phase, result) {
-            (ShipPhase::SentPayload { .. }, Ok(_)) => {
-                // Transfer acknowledged: drop the local copy and leave a
-                // forwarding address (§4.1) carrying the incarnation — a
-                // move is the same identity at a new home.
-                self.objects.remove(&task.name);
-                self.registry.update(
-                    CompKey::object(task.name),
-                    Located::new(task.dest, task.receive_args.incarnation),
-                );
-                self.finish_move_ok(env, task);
-            }
-            (
-                ShipPhase::SentPayload {
-                    retried_class: false,
-                },
-                Err(RmiError::Fault(Fault::ClassMissing(_))),
-            ) => {
-                let Some(class_args) = self.class_args(task.receive_args.class) else {
-                    let err = MageError::ClassUnavailable("unknown class".into());
-                    self.abort_move(env, task, err);
-                    return;
-                };
-                self.push_class(env, task.dest, &class_args, token);
-                task.phase = ShipPhase::SentClass;
-                self.tasks.insert(token, Task::MoveOut(task));
-            }
-            (ShipPhase::SentClass, Ok(_)) => {
-                self.call_service(env, task.dest, self.ids.receive, &task.receive_args, token);
-                task.phase = ShipPhase::SentPayload {
-                    retried_class: true,
-                };
-                self.tasks.insert(token, Task::MoveOut(task));
-            }
-            (_, Err(e)) => {
-                let err = rmi_error_to_mage(&e);
-                self.abort_move(env, task, err);
-            }
-        }
+    /// The transfer was acknowledged: drop the local copy and leave a
+    /// forwarding address (§4.1) carrying the incarnation — a move is the
+    /// same identity at a new home.
+    fn commit_move(&mut self, env: &mut Env<'_, '_>, dest: NodeId, m: MoveCargo) {
+        self.objects.remove(&m.args.name);
+        self.registry.update(
+            CompKey::object(m.args.name),
+            Located::new(dest, m.args.incarnation),
+        );
+        self.finish_move_ok(env, dest, m);
     }
 
     /// Answers every find parked on `name` during its transit — remote
@@ -589,9 +550,10 @@ impl MageNode {
         }
     }
 
-    fn abort_move(&mut self, env: &mut Env<'_, '_>, task: MoveOutTask, err: MageError) {
+    fn abort_move(&mut self, env: &mut Env<'_, '_>, dest: NodeId, m: MoveCargo, err: MageError) {
+        let name = m.args.name;
         // Restore the object to service at this namespace.
-        if let Some(hosted) = self.objects.get_mut(&task.name) {
+        if let Some(hosted) = self.objects.get_mut(&name) {
             hosted.in_transit = false;
         }
         // Finds that arrived mid-move resolve right back here.
@@ -599,25 +561,22 @@ impl MageNode {
         // Re-home: the aborted transfer (e.g. to a crashed target) must
         // leave the registry pointing at the surviving copy, not at
         // whatever the chain said before the move started.
-        self.registry.update(
-            CompKey::object(task.name),
-            Located::new(me, task.receive_args.incarnation),
-        );
-        self.flush_transit_finds(env, task.name, me, task.receive_args.incarnation);
-        self.locks
-            .install(task.name, task.receive_args.locks.clone());
+        self.registry
+            .update(CompKey::object(name), Located::new(me, m.args.incarnation));
+        self.flush_transit_finds(env, name, me, m.args.incarnation);
+        self.locks.install(name, m.args.locks.clone());
         // Re-queue the waiters we parked; immediate grants are answered
         // directly (reply handles are Copy).
-        for waiter in task.parked_waiters {
+        for waiter in m.parked_waiters {
             match self
                 .locks
-                .request(task.name, waiter.client, waiter.target, me, waiter.payload)
+                .request(name, waiter.client, waiter.target, me, waiter.payload)
             {
                 crate::lock::Request::Granted(kind) => {
                     self.deliver_grant(
                         env,
                         crate::lock::Grant {
-                            name: task.name,
+                            name,
                             waiter: waiter.payload,
                             client: waiter.client,
                             kind,
@@ -628,52 +587,42 @@ impl MageNode {
             }
         }
         if env.trace_enabled() {
-            env.note(format!(
-                "move of {} to {} failed: {err}",
-                self.name_str(task.name),
-                task.dest
-            ));
+            let name = self.name_str(name);
+            env.note(format!("move of {name} to {dest} failed: {err}"));
         }
-        self.finish_move_failed(env, task.origin, err);
+        self.finish_move_failed(env, m.origin, err);
     }
 
-    fn finish_move_ok(&mut self, env: &mut Env<'_, '_>, task: MoveOutTask) {
+    fn finish_move_ok(&mut self, env: &mut Env<'_, '_>, dest: NodeId, m: MoveCargo) {
+        let name = m.args.name;
         // Only now that the forwarding address is in place do we bounce the
         // queued waiters: their retry re-finds the object at its new host.
-        for waiter in task.parked_waiters {
+        for waiter in m.parked_waiters {
             env.reply(
                 waiter.payload,
-                Err(Fault::NotBound(format!(
-                    "{} moved",
-                    self.name_str(task.name)
-                ))),
+                Err(Fault::NotBound(format!("{} moved", self.name_str(name)))),
             );
         }
         // Finds that arrived mid-move resolve to the destination.
-        self.flush_transit_finds(env, task.name, task.dest, task.receive_args.incarnation);
-        match task.origin {
+        self.flush_transit_finds(env, name, dest, m.args.incarnation);
+        match m.origin {
             MoveOrigin::Reply(handle) => {
                 let payload = mage_codec::to_bytes(&FindReply {
-                    location: task.dest.as_raw(),
-                    incarnation: task.receive_args.incarnation,
+                    location: dest.as_raw(),
+                    incarnation: m.args.incarnation,
                 })
                 .expect("find reply encodes");
                 env.reply(handle, Ok(payload));
             }
             MoveOrigin::Exec(exec_id) => {
                 if let Some(Task::Exec(t)) = self.tasks.remove(&exec_id) {
-                    self.exec_move_done(
-                        env,
-                        exec_id,
-                        t,
-                        Ok((task.dest, task.receive_args.incarnation)),
-                    );
+                    self.exec_move_done(env, exec_id, t, Ok((dest, m.args.incarnation)));
                 }
             }
             MoveOrigin::Autonomous => {
                 if env.trace_enabled() {
-                    let name = self.name_str(task.name);
-                    env.note(format!("agent {} hopped to {}", name, task.dest));
+                    let name = self.name_str(name);
+                    env.note(format!("agent {name} hopped to {dest}"));
                 }
             }
         }

@@ -48,7 +48,7 @@ use crate::engine::{
 };
 use crate::error::MageError;
 use crate::lock::LockKind;
-use crate::node::MageNode;
+use crate::node::{local_birth_error, MageNode};
 use crate::proto::{self, ActionSpec, FindReply, Guard, Outcome};
 use crate::registry::{CompKey, Incarnation, Located};
 
@@ -89,6 +89,32 @@ impl ExecTask {
         match self.spec.action {
             ActionSpec::Instantiate { class, .. } => class,
             _ => unreachable!("only instantiate plans ship classes"),
+        }
+    }
+
+    /// The birth an instantiating plan requests, sent to the birthplace or
+    /// run here.
+    fn instantiate_args(&self) -> proto::InstantiateArgs {
+        let ActionSpec::Instantiate {
+            class,
+            ref state,
+            visibility,
+            durability,
+            backup,
+            replace,
+            ..
+        } = self.spec.action
+        else {
+            unreachable!("only instantiate plans instantiate");
+        };
+        proto::InstantiateArgs {
+            class,
+            name: self.spec.key.id,
+            state: state.clone(),
+            visibility,
+            durability,
+            backup,
+            replace,
         }
     }
 
@@ -390,44 +416,22 @@ impl MageNode {
                     self.exec_park(id, task, ExecPhase::AwaitMove);
                 }
             }
-            ActionSpec::Instantiate {
-                class,
-                node,
-                ref state,
-                visibility,
-                durability,
-                backup,
-                replace,
-            } => {
+            ActionSpec::Instantiate { class, node, .. } => {
                 let dest = NodeId::from_raw(node);
                 if dest != me {
                     self.exec_instantiate_at(env, id, task, dest, false);
                 } else if !self.classes.contains(&class) {
                     self.exec_fetch_class(env, id, task, me);
                 } else {
-                    let (class_name, object_name) =
-                        (self.name_str(class), self.name_str(task.spec.key.id));
-                    let policy = crate::node::HostPolicy {
-                        visibility,
-                        durability,
-                        backup: backup.map(NodeId::from_raw),
-                    };
-                    let created = self.create_local_object(
-                        env,
-                        &class_name,
-                        &object_name,
-                        state,
-                        policy,
-                        replace,
-                    );
-                    match created {
-                        Ok(outcome) => {
+                    let args = task.instantiate_args();
+                    match self.instantiate_here(env, None, &args) {
+                        Ok(incarnation) => {
                             task.cloc = Some(me);
-                            task.cinc = Some(outcome.incarnation);
+                            task.cinc = Some(incarnation);
                             task.invoke_at = Some(me);
                             self.exec_begin_invoke(env, id, task);
                         }
-                        Err(e) => self.exec_fail(env, id, task, e),
+                        Err(fault) => self.exec_fail(env, id, task, local_birth_error(fault)),
                     }
                 }
             }
@@ -445,27 +449,7 @@ impl MageNode {
         dest: NodeId,
         retried_class: bool,
     ) {
-        let ActionSpec::Instantiate {
-            class,
-            ref state,
-            visibility,
-            durability,
-            backup,
-            replace,
-            ..
-        } = task.spec.action
-        else {
-            unreachable!("only instantiate plans instantiate");
-        };
-        let args = proto::InstantiateArgs {
-            class,
-            name: task.spec.key.id,
-            state: state.clone(),
-            visibility,
-            durability,
-            backup,
-            replace,
-        };
+        let args = task.instantiate_args();
         self.call_service(env, dest, self.ids.instantiate, &args, id);
         self.exec_park(
             id,
@@ -765,15 +749,18 @@ impl MageNode {
                 Err(e) => self.exec_fail(env, id, task, e),
             },
             (ExecPhase::AwaitFetchClass { dest }, Ok(bytes)) => {
-                match decode::<proto::ReceiveClassArgs>(&bytes) {
+                // Define the class locally (MAGE clones classes, §4.2),
+                // behind the same gate as a pushed class.
+                let defined = decode::<proto::ReceiveClassArgs>(&bytes).and_then(|args| {
+                    let defined = self.receive_class(env, &args);
+                    defined
+                        .map(|()| args)
+                        .map_err(|f| proto::fault_to_error(&f))
+                });
+                match defined {
                     Ok(class_args) => {
-                        // Define the class locally (MAGE clones classes,
-                        // §4.2), then instantiate or push onward.
+                        // Instantiate here, or push the class onward.
                         let me = env.node();
-                        env.charge(env.cost().class_load(class_args.code.len() as u64));
-                        self.classes.insert(class_args.class);
-                        self.registry
-                            .update(CompKey::class(class_args.class), Located::untracked(me));
                         if dest == me {
                             self.exec_begin_action(env, id, task);
                         } else {

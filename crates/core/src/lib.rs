@@ -75,7 +75,6 @@ mod pending;
 pub mod proto;
 pub mod registry;
 mod runtime;
-pub mod security;
 mod session;
 pub mod spec;
 pub mod workload_support;

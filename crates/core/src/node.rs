@@ -2,11 +2,18 @@
 //! `MageExternalServer` and MAGE registry roles (§4.1, Figure 6).
 //!
 //! A `MageNode` plugs into the RMI substrate as an [`App`]: its system
-//! services (find, lock, invoke, move, receive, class transfer) are methods
-//! of the well-known [`proto::SERVICE`] object, and mobility-attribute
-//! binds are client-side protocol engines (see [`crate::engine`]) driven by
-//! RMI replies — exactly the paper's "mobility attributes boil down to RMI
-//! calls".
+//! services (find, lock, unlock, invoke, move, receive, class push and
+//! fetch, instantiate, checkpoint, restore) are methods of the well-known
+//! [`proto::SERVICE`] object, and mobility-attribute binds are client-side
+//! protocol engines (see [`crate::engine`]) driven by RMI replies — exactly
+//! the paper's "mobility attributes boil down to RMI calls".
+//!
+//! Each job a peer can ask of a node is done in one place: one
+//! [`Admission`] policy gates everything pushed in, one birth path
+//! ([`MageNode::instantiate_here`]) creates objects, and migration,
+//! birth and restore share its `reify` and `adopt` steps; classes are
+//! defined by `define_class`, behind one class gate when they arrive from
+//! a peer.
 //!
 //! The service and its method names are interned once at construction
 //! ([`ProtoIds`]); steady-state dispatch compares 4-byte [`NameId`]s, and
@@ -20,16 +27,15 @@ use bytes::Bytes;
 use mage_rmi::{App, CallOutcome, Env, Fault, InboundCall, NameId, ReplyHandle, SymbolTable};
 use mage_sim::{IdMap, NodeId, OpId, SimDuration};
 
-use crate::admission::Quotas;
+use crate::admission::Admission;
 use crate::class::ClassLibrary;
 use crate::component::{Durability, Visibility};
 use crate::desk::{OpResult, SharedDesk};
-use crate::engine::{MoveOrigin, Task};
+use crate::engine::{Cargo, MoveOrigin, Task};
 use crate::lock::LockTable;
 use crate::object::{MobileEnv, MobileObject};
 use crate::proto::{self, methods, Outcome};
 use crate::registry::{CompKey, Incarnation, IncarnationMinter, Kind, Located, Registry};
-use crate::security::TrustPolicy;
 
 /// Maximum forwarding-chain length a find will follow.
 const FIND_HOP_LIMIT: u32 = 16;
@@ -45,10 +51,9 @@ pub struct NodeConfig {
     pub bind_overhead: SimDuration,
     /// Server-side CPU charged per object invocation (object table lookup).
     pub invoke_overhead: SimDuration,
-    /// CPU charged to reconstruct an object from its migration snapshot.
+    /// CPU charged to reconstruct an object from state a peer sent (a
+    /// migration, a remote birth) or from a backup snapshot.
     pub reify_cost: SimDuration,
-    /// Whether classes with static fields may be replicated here (§4.2).
-    pub allow_static_classes: bool,
     /// Retries when an invocation races a migration (object moved between
     /// find and invoke).
     pub race_retries: u8,
@@ -61,7 +66,6 @@ impl Default for NodeConfig {
             bind_overhead: SimDuration::from_micros(1_200),
             invoke_overhead: SimDuration::from_micros(500),
             reify_cost: SimDuration::from_micros(1_000),
-            allow_static_classes: false,
             race_retries: 3,
         }
     }
@@ -129,6 +133,33 @@ pub(crate) struct Hosted {
     pub snapshot_epoch: u64,
 }
 
+impl Hosted {
+    /// The one constructor of a hosted object: in service, under the
+    /// policy set `(visibility, durability, backup)` as requests carry it,
+    /// with identity `incarnation` and origin server `home` (raw ids); its
+    /// move and snapshot counters start at zero.
+    fn new(
+        object: Box<dyn MobileObject>,
+        class: NameId,
+        (visibility, durability, backup): (Visibility, Durability, Option<u32>),
+        home: u32,
+        incarnation: Incarnation,
+    ) -> Self {
+        Hosted {
+            object,
+            class,
+            visibility,
+            home: NodeId::from_raw(home),
+            version: 0,
+            incarnation,
+            in_transit: false,
+            durability,
+            backup: backup.map(NodeId::from_raw),
+            snapshot_epoch: 0,
+        }
+    }
+}
+
 /// A durability snapshot held for a replicated object whose primary lives
 /// (or lived) elsewhere. Keyed by object name in [`MageNode::backups`];
 /// monotone in `epoch`.
@@ -164,8 +195,7 @@ pub struct MageNode {
     pub(crate) locks: LockTable<ReplyHandle>,
     pub(crate) tasks: IdMap<u64, Task>,
     pub(crate) next_task: u64,
-    pub(crate) trust: TrustPolicy,
-    pub(crate) quotas: Quotas,
+    pub(crate) admission: Admission,
     /// Find requests for objects currently in transit, answered when the
     /// move settles (with the destination) or aborts (with this node).
     /// Concurrent clients may legitimately look an object up mid-move —
@@ -225,8 +255,7 @@ impl MageNode {
             locks: config_locks,
             tasks: IdMap::default(),
             next_task: 0,
-            trust: TrustPolicy::default(),
-            quotas: Quotas::unlimited(),
+            admission: Admission::default(),
             transit_finds: BTreeMap::new(),
             backups: BTreeMap::new(),
             desk,
@@ -580,56 +609,22 @@ impl MageNode {
             Ok(args) => args,
             Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
         };
-        if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept objects from {from}",
-                self.name
-            ))));
-        }
-        if !self.quotas.admits_object(self.objects.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "object quota exceeded in namespace {}",
-                self.name
-            ))));
-        }
-        if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
-        }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let def = match self.lib.get(&class_name) {
-            Some(def) => def,
-            None => return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string()))),
-        };
-        let object = match def.instantiate(&args.state) {
+        let admitted = self
+            .admission
+            .admit_object(&self.name, "objects", from, self.objects.len());
+        let object = match admitted.and_then(|()| self.reify(env, args.class, &args.state, true)) {
             Ok(object) => object,
             Err(fault) => return CallOutcome::Reply(Err(fault)),
         };
-        env.charge(self.config.reify_cost);
-        self.objects.insert(
-            args.name,
-            Hosted {
-                object,
-                class: args.class,
-                visibility: args.visibility,
-                home: NodeId::from_raw(args.home),
-                version: args.version,
-                // Migration preserves identity: same incarnation, new home.
-                incarnation: args.incarnation,
-                in_transit: false,
-                durability: args.durability,
-                backup: args.backup.map(NodeId::from_raw),
-                snapshot_epoch: args.snapshot_epoch,
-            },
-        );
+        // Migration preserves identity: same incarnation, new host.
+        let policy = (args.visibility, args.durability, args.backup);
+        let mut hosted = Hosted::new(object, args.class, policy, args.home, args.incarnation);
+        hosted.version = args.version;
+        hosted.snapshot_epoch = args.snapshot_epoch;
         self.locks.install(args.name, args.locks);
-        let me = env.node();
-        self.registry.update(
-            CompKey::object(args.name),
-            Located::new(me, args.incarnation),
-        );
         // Durability: the post-move checkpoint — the backup must learn the
         // object survived the move before the new host can crash on it.
-        self.ship_checkpoint(env, args.name);
+        self.adopt(env, args.name, hosted, true);
         reply_ok(&())
     }
 
@@ -643,37 +638,11 @@ impl MageNode {
             Ok(args) => args,
             Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
         };
-        if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept classes from {from}",
-                self.name
-            ))));
+        let admitted = self.admission.admit_peer(&self.name, "classes", from);
+        match admitted.and_then(|()| self.receive_class(env, &args)) {
+            Ok(()) => reply_ok(&()),
+            Err(fault) => CallOutcome::Reply(Err(fault)),
         }
-        if args.has_static_fields && !self.config.allow_static_classes {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "class {} has static fields; replication would fork static state",
-                self.name_str(args.class)
-            ))));
-        }
-        if self.classes.contains(&args.class) {
-            return reply_ok(&()); // idempotent re-delivery
-        }
-        if !self.quotas.admits_class(self.classes.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "class quota exceeded in namespace {}",
-                self.name
-            ))));
-        }
-        let class_name = self.syms.resolve_lossy(args.class);
-        if !self.lib.contains(&class_name) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string())));
-        }
-        env.charge(env.cost().class_load(args.code.len() as u64));
-        self.classes.insert(args.class);
-        let me = env.node();
-        self.registry
-            .update(CompKey::class(args.class), Located::untracked(me));
-        reply_ok(&())
     }
 
     fn handle_fetch_class(&mut self, call: InboundCall) -> CallOutcome {
@@ -698,72 +667,122 @@ impl MageNode {
             Ok(args) => args,
             Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
         };
-        if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept instantiation from {from}",
-                self.name
-            ))));
+        match self.instantiate_here(env, Some(from), &args) {
+            Ok(incarnation) => reply_ok(&incarnation),
+            Err(fault) => CallOutcome::Reply(Err(fault)),
         }
-        if !self.quotas.admits_object(self.objects.len()) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "object quota exceeded in namespace {}",
-                self.name
-            ))));
+    }
+
+    // ---- hosting: birth, reification, adoption ----
+
+    /// The one birth path: creates an object here for a peer's
+    /// instantiate request (`from` is the peer, who must pass admission)
+    /// or for this node's own driver (`from` is `None`: a local creation
+    /// or a factory bind targeting this node). A fresh instance is a
+    /// fresh identity, even under a name that existed before (factory
+    /// rebind, or re-creation after a crash).
+    ///
+    /// A live same-named object is replaced only when `args.replace`
+    /// asks for it (attribute factories keep RMI-registry rebind
+    /// semantics), and never while it is mid-migration; both refusals
+    /// are [`Fault::App`]s.
+    pub(crate) fn instantiate_here(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        from: Option<NodeId>,
+        args: &proto::InstantiateArgs,
+    ) -> Result<Incarnation, Fault> {
+        if let Some(peer) = from {
+            let hosted = self.objects.len();
+            self.admission
+                .admit_object(&self.name, "instantiation", peer, hosted)?;
         }
-        if !self.classes.contains(&args.class) {
-            return CallOutcome::Reply(Err(Fault::ClassMissing(self.name_str(args.class))));
-        }
-        // Factory rebind semantics: a fresh instance replaces any previous
-        // object registered under this name (like an RMI registry rebind) —
-        // unless that object is mid-migration, or the caller asked for
-        // create-not-replace semantics (`Session::create` fails on a taken
-        // name, exactly like local creation).
-        if self.objects.get(&args.name).is_some_and(|h| h.in_transit) {
-            return CallOutcome::Reply(Err(Fault::App(format!(
-                "object {} is in transit",
-                self.name_str(args.name)
-            ))));
-        }
-        if !args.replace && self.objects.contains_key(&args.name) {
-            return CallOutcome::Reply(Err(Fault::App(format!(
-                "object {} already exists here",
-                self.name_str(args.name)
-            ))));
-        }
-        let class_name = self.syms.resolve_lossy(args.class);
-        let def = match self.lib.get(&class_name) {
-            Some(def) => def,
-            None => return CallOutcome::Reply(Err(Fault::ClassMissing(class_name.to_string()))),
+        let refusal = match self.objects.get(&args.name).map(|h| h.in_transit) {
+            Some(true) => Some("is in transit"),
+            Some(false) if !args.replace => Some("already exists here"),
+            _ => None,
         };
-        let object = match def.instantiate(&args.state) {
-            Ok(object) => object,
-            Err(fault) => return CallOutcome::Reply(Err(fault)),
-        };
-        env.charge(self.config.reify_cost);
-        let me = env.node();
-        // A fresh instance is a fresh identity — even under a name that
-        // existed before (factory rebind, or re-creation after a crash).
+        if let Some(refusal) = refusal {
+            let name = self.name_str(args.name);
+            return Err(Fault::App(format!("object {name} {refusal}")));
+        }
+        // Only a peer's request is charged for reconstruction; a local
+        // birth is the creator's own constructor call.
+        let object = self.reify(env, args.class, &args.state, from.is_some())?;
         let incarnation = self.minter.mint();
-        self.objects.insert(
-            args.name,
-            Hosted {
-                object,
-                class: args.class,
-                visibility: args.visibility,
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability: args.durability,
-                backup: args.backup.map(NodeId::from_raw),
-                snapshot_epoch: 0,
-            },
-        );
+        let policy = (args.visibility, args.durability, args.backup);
+        let hosted = Hosted::new(object, args.class, policy, env.node().as_raw(), incarnation);
+        // Durability: the creation checkpoint establishes the backup copy
+        // before the object serves anything.
+        self.adopt(env, args.name, hosted, true);
+        Ok(incarnation)
+    }
+
+    /// Reconstructs an object of `class` from `state`, charging
+    /// `reify_cost` when `charged`: the class must be cached here and
+    /// defined in the world's library.
+    fn reify(
+        &self,
+        env: &mut Env<'_, '_>,
+        class: NameId,
+        state: &[u8],
+        charged: bool,
+    ) -> Result<Box<dyn MobileObject>, Fault> {
+        let class_name = self.syms.resolve_lossy(class);
+        let object = match self.lib.get(&class_name) {
+            Some(def) if self.classes.contains(&class) => def.instantiate(state)?,
+            _ => return Err(Fault::ClassMissing(class_name.to_string())),
+        };
+        if charged {
+            env.charge(self.config.reify_cost);
+        }
+        Ok(object)
+    }
+
+    /// Hosts `hosted` here under `name` and registers it, then, unless
+    /// this is a restore, ships the checkpoint that tells its backup home
+    /// about the object.
+    fn adopt(&mut self, env: &mut Env<'_, '_>, name: NameId, hosted: Hosted, checkpoint: bool) {
+        let located = Located::new(env.node(), hosted.incarnation);
+        self.objects.insert(name, hosted);
+        self.registry.update(CompKey::object(name), located);
+        if checkpoint {
+            self.ship_checkpoint(env, name);
+        }
+    }
+
+    // ---- class definition ----
+
+    /// Caches `class` here and registers this node as a place to fetch it
+    /// from: the last step of every deployed, pushed or fetched class.
+    fn define_class(&mut self, me: NodeId, class: NameId) {
+        self.classes.insert(class);
         self.registry
-            .update(CompKey::object(args.name), Located::new(me, incarnation));
-        // Durability: the creation checkpoint.
-        self.ship_checkpoint(env, args.name);
-        reply_ok(&incarnation)
+            .update(CompKey::class(class), Located::untracked(me));
+    }
+
+    /// Defines a class that arrived from a peer, pushed to this node or
+    /// fetched by its ladder: it passes the class gate, and a class
+    /// already cached is an idempotent re-delivery.
+    pub(crate) fn receive_class(
+        &mut self,
+        env: &mut Env<'_, '_>,
+        args: &proto::ReceiveClassArgs,
+    ) -> Result<(), Fault> {
+        let (cached, held) = (self.classes.contains(&args.class), self.classes.len());
+        let class = self.syms.resolve_lossy(args.class);
+        let statics = args.has_static_fields;
+        self.admission
+            .admit_class(&self.name, &class, statics, cached, held)?;
+        if cached {
+            return Ok(());
+        }
+        if !self.lib.contains(&class) {
+            return Err(Fault::ClassMissing(class.to_string()));
+        }
+        env.charge(env.cost().class_load(args.code.len() as u64));
+        self.define_class(env.node(), args.class);
+        Ok(())
     }
 
     // ---- driver commands ----
@@ -778,12 +797,24 @@ impl MageNode {
                 durability,
                 backup,
             } => {
-                let policy = HostPolicy {
+                let args = proto::InstantiateArgs {
+                    class: self.syms.intern(&class),
+                    name: self.syms.intern(&name),
+                    state,
                     visibility,
                     durability,
-                    backup: backup.map(NodeId::from_raw),
+                    backup,
+                    replace: false,
                 };
-                let result = self.create_local_object(env, &class, &name, &state, policy, false);
+                let result = self.instantiate_here(env, None, &args);
+                let me = env.node().as_raw();
+                let result = result
+                    .map_err(local_birth_error)
+                    .map(|incarnation| Outcome {
+                        location: me,
+                        incarnation,
+                        ..Outcome::default()
+                    });
                 return self.complete(env, op, result);
             }
             proto::Command::Execute(spec) => {
@@ -796,27 +827,21 @@ impl MageNode {
                     return self.complete(env, op, Err(err));
                 }
                 let class_id = self.syms.intern(&class);
-                self.classes.insert(class_id);
-                self.registry
-                    .update(CompKey::class(class_id), Located::untracked(env.node()));
+                self.define_class(env.node(), class_id);
             }
             proto::Command::SetTrust { allow } => {
-                self.trust = match allow {
-                    None => TrustPolicy::TrustAll,
-                    Some(ids) => TrustPolicy::allow_raw(ids),
-                };
+                let trusted = allow.map(|ids| ids.into_iter().map(NodeId::from_raw).collect());
+                self.admission.trusted = trusted;
             }
             proto::Command::SetQuota {
                 max_objects,
                 max_classes,
             } => {
-                self.quotas = Quotas {
-                    max_objects,
-                    max_classes,
-                };
+                self.admission.max_objects = max_objects;
+                self.admission.max_classes = max_classes;
             }
             proto::Command::AllowStaticClasses { allow } => {
-                self.config.allow_static_classes = allow;
+                self.admission.static_classes = allow;
             }
             proto::Command::SeedRegistry { name, loc } => {
                 let key = CompKey::parse(&self.syms, &name);
@@ -836,70 +861,6 @@ impl MageNode {
                 ..Outcome::default()
             }),
         );
-    }
-
-    pub(crate) fn create_local_object(
-        &mut self,
-        env: &mut Env<'_, '_>,
-        class: &str,
-        name: &str,
-        state: &[u8],
-        policy: HostPolicy,
-        replace: bool,
-    ) -> Result<Outcome, crate::error::MageError> {
-        let class_id = self.syms.intern(class);
-        if !self.classes.contains(&class_id) {
-            return Err(crate::error::MageError::ClassUnavailable(class.to_owned()));
-        }
-        let def = self
-            .lib
-            .get(class)
-            .ok_or_else(|| crate::error::MageError::ClassUnavailable(class.to_owned()))?;
-        let name_id = self.syms.intern(name);
-        if let Some(existing) = self.objects.get(&name_id) {
-            if !replace {
-                return Err(crate::error::MageError::BadPlan(format!(
-                    "object {name} already exists here"
-                )));
-            }
-            if existing.in_transit {
-                return Err(crate::error::MageError::BadPlan(format!(
-                    "object {name} is in transit"
-                )));
-            }
-        }
-        let object = def
-            .instantiate(state)
-            .map_err(|f| crate::error::MageError::Rmi(f.to_string()))?;
-        let me = env.node();
-        // A new object (or a re-created one under a reused name) is a new
-        // incarnation: stale stubs to a predecessor become detectable.
-        let incarnation = self.minter.mint();
-        self.objects.insert(
-            name_id,
-            Hosted {
-                object,
-                class: class_id,
-                visibility: policy.visibility,
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability: policy.durability,
-                backup: policy.backup,
-                snapshot_epoch: 0,
-            },
-        );
-        self.registry
-            .update(CompKey::object(name_id), Located::new(me, incarnation));
-        // Durability: the creation checkpoint establishes the backup copy
-        // before the object serves anything.
-        self.ship_checkpoint(env, name_id);
-        Ok(Outcome {
-            location: me.as_raw(),
-            incarnation,
-            ..Outcome::default()
-        })
     }
 
     // ---- durability: checkpoint & restore ----
@@ -946,18 +907,7 @@ impl MageNode {
             self.store_backup(env, args);
             return;
         }
-        let token = self.next_task;
-        self.next_task += 1;
-        self.call_service(env, backup, self.ids.checkpoint, &args, token);
-        let task = crate::engine::CheckpointTask {
-            name,
-            dest: backup,
-            args,
-            phase: crate::engine::ShipPhase::SentPayload {
-                retried_class: false,
-            },
-        };
-        self.tasks.insert(token, Task::Checkpoint(task));
+        self.ship(env, backup, Cargo::Checkpoint(args));
     }
 
     /// Accepts (or refuses as stale) a durability snapshot. Returns
@@ -1015,11 +965,8 @@ impl MageNode {
             Ok(args) => args,
             Err(e) => return CallOutcome::Reply(Err(Fault::App(e.to_string()))),
         };
-        if !self.trust.admits(from) {
-            return CallOutcome::Reply(Err(Fault::AccessDenied(format!(
-                "namespace {} does not accept checkpoints from {from}",
-                self.name
-            ))));
+        if let Err(fault) = self.admission.admit_peer(&self.name, "checkpoints", from) {
+            return CallOutcome::Reply(Err(fault));
         }
         // The backup must be able to *restore* — it needs the class. The
         // primary pushes it on this fault, exactly like a move would.
@@ -1052,23 +999,18 @@ impl MageNode {
         let Some(snap) = self.backups.get(&name) else {
             return Err(Fault::NotBound(self.name_str(name)));
         };
-        let class_name = self.syms.resolve_lossy(snap.class);
-        let Some(def) = self.lib.get(&class_name) else {
-            return Err(Fault::ClassMissing(class_name.to_string()));
-        };
-        let object = def.instantiate(&snap.state)?;
-        env.charge(self.config.reify_cost);
+        let object = self.reify(env, snap.class, &snap.state, true)?;
         // A restore is a re-creation, not a migration: the crashed
         // incarnation is dead, so the survivor gets a fresh identity and
         // stale stubs resolve to typed `StaleIdentity` (then rebind).
         let incarnation = self.minter.mint();
-        let (class, visibility, snap_inc, epoch, durability) = (
-            snap.class,
-            snap.visibility,
-            snap.incarnation,
-            snap.epoch,
-            snap.durability,
-        );
+        // The backup home adopts the object as its new origin, and stays
+        // the fixed backup — which is now this node, so further
+        // checkpoints are local stores until the object moves away again.
+        let policy = (snap.visibility, snap.durability, Some(me.as_raw()));
+        let (snap_inc, epoch) = (snap.incarnation, snap.epoch);
+        let mut hosted = Hosted::new(object, snap.class, policy, me.as_raw(), incarnation);
+        hosted.snapshot_epoch = epoch;
         if env.trace_enabled() {
             // Invariant marker: a restore must serve the newest snapshot
             // this backup ever acknowledged for the name.
@@ -1079,26 +1021,7 @@ impl MageNode {
             ));
         }
         env.count("snapshot_restores");
-        self.objects.insert(
-            name,
-            Hosted {
-                object,
-                class,
-                visibility,
-                // The backup home adopts the object: it is the new origin.
-                home: me,
-                version: 0,
-                incarnation,
-                in_transit: false,
-                durability,
-                // The backup home stays fixed — which is now this node, so
-                // further checkpoints are local stores until the object
-                // moves away again.
-                backup: Some(me),
-                snapshot_epoch: epoch,
-            },
-        );
-        self.registry.update(key, Located::new(me, incarnation));
+        self.adopt(env, name, hosted, false);
         Ok(proto::FindReply {
             location: me.as_raw(),
             incarnation,
@@ -1117,13 +1040,13 @@ impl MageNode {
     }
 }
 
-/// The non-mobility policy set an object is hosted under: visibility plus
-/// the durability policy and its resolved backup home.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HostPolicy {
-    pub visibility: Visibility,
-    pub durability: Durability,
-    pub backup: Option<NodeId>,
+/// The error a refused local birth surfaces: a taken name is a mistake in
+/// the caller's plan, anything else keeps its fault's usual error.
+pub(crate) fn local_birth_error(fault: Fault) -> crate::error::MageError {
+    match fault {
+        Fault::App(why) => crate::error::MageError::BadPlan(why),
+        other => proto::fault_to_error(&other),
+    }
 }
 
 pub(crate) fn reply_ok<T: serde::Serialize>(value: &T) -> CallOutcome {

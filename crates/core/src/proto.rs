@@ -177,7 +177,8 @@ pub struct ReceiveArgs {
     pub home: u32,
     /// Public/private visibility.
     pub visibility: Visibility,
-    /// Monotonic move counter (debugging aid; also detects stale receives).
+    /// Monotonic move counter, bumped by every move. A debugging aid that
+    /// travels with the object; no receiver reads it.
     pub version: u64,
     /// The object's incarnation: identity travels with the object — a
     /// migration is the same incarnation at a new home, not a re-creation.

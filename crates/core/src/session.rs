@@ -317,9 +317,11 @@ impl Session {
     ///
     /// # Errors
     ///
-    /// Fails if the class is unresolvable or not deployed at the
-    /// birthplace, the name is taken there, a replicated spec cannot
-    /// resolve a backup home, or the initial state failed to marshal.
+    /// Fails if the class is unresolvable, or, for a local birth, not held
+    /// here (a remote birth ships it to the birthplace from wherever it is
+    /// deployed), the name is taken at the birthplace, a replicated spec
+    /// cannot resolve a backup home, or the initial state failed to
+    /// marshal.
     pub fn create(&self, spec: ObjectSpec) -> Result<ObjectHandle, MageError> {
         let class = spec.resolve_class()?;
         let ObjectSpec {

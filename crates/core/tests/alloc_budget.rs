@@ -13,8 +13,9 @@
 //!
 //! Absolute ceilings pin the per-op floor: a warmed `Session::call` makes
 //! at most five allocations (the desk's op-id key, the marshalled
-//! arguments, the object's result and the two frames) and a warmed REV
-//! `bind_invoke` at most 20. Warmed means past the first fill of every
+//! arguments, the object's result and the two frames), a warmed durable
+//! `call_handle` (one checkpoint shipped per call) at most 10, and a warmed
+//! REV `bind_invoke` at most 20. Warmed means past the first fill of every
 //! table, the server's 1024-entry response cache included.
 //!
 //! `attribute_allocations_per_call_site` is the attribution tool behind
@@ -338,6 +339,34 @@ fn warmed_session_call_costs_at_most_five_allocs() {
     }
     let allocs = allocs_per_op(call);
     assert!(allocs <= 5.0, "session.call costs {allocs} allocs/op");
+}
+
+#[test]
+fn warmed_durable_call_costs_at_most_10_allocs() {
+    let mut rt = Runtime::builder()
+        .seed(1)
+        .nodes(["c", "h", "b"])
+        .class(test_object_class())
+        .build();
+    rt.deploy_class("TestObject", "c").unwrap();
+    let c = rt.session("c").unwrap();
+    let spec = ObjectSpec::new("p")
+        .class("TestObject")
+        .mobility(Rev::new("TestObject", "p", "h"))
+        .durability(Durability::Replicated { backups: 1 })
+        .backup("b");
+    let mut handle = c.create(spec).unwrap();
+    let mut call = || {
+        c.call_handle(&mut handle, methods::INC, &()).unwrap();
+    };
+    for _ in 0..WARMED {
+        call();
+    }
+    let allocs = allocs_per_op(call);
+    assert!(
+        allocs <= 10.0,
+        "durable call_handle costs {allocs} allocs/op"
+    );
 }
 
 #[test]

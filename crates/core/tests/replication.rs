@@ -309,6 +309,16 @@ fn replication_needs_two_namespaces() {
 }
 
 #[test]
+fn checkpoint_to_a_distrusting_backup_stores_nothing() {
+    let mut rt = world(&["a", "b"]);
+    rt.set_trust("b", Some(&[])).unwrap();
+    let a = rt.session("a").unwrap();
+    let mut handle = a.create(replicated_counter("b")).unwrap();
+    assert_eq!(a.call_handle(&mut handle, methods::INC, &()).unwrap(), 1);
+    assert_eq!(rt.world().metrics().counter("snapshots_stored"), 0);
+}
+
+#[test]
 fn spec_can_place_birth_through_a_mobility_attribute() {
     let rt = world(&["lab", "sensor1", "sensor2"]);
     let lab = rt.session("lab").unwrap();

@@ -415,6 +415,79 @@ fn static_field_classes_are_refused_until_allowed() {
 }
 
 #[test]
+fn fetched_classes_pass_the_pushed_class_gate() {
+    let mut rt = fast_runtime(&["lab", "client"]);
+    rt.deploy_class("StaticHolder", "lab").unwrap();
+    rt.deploy_class("TestObject", "lab").unwrap();
+    let client = rt.session("client").unwrap();
+    // A COD factory fetches the class: static fields are refused as if
+    // the class had been pushed.
+    let err = client
+        .bind(&Cod::factory("StaticHolder", "holder"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+    // The fetch left nothing cached, so a later push is refused too.
+    let lab = rt.session("lab").unwrap();
+    let err = lab
+        .bind(&Rev::factory("StaticHolder", "holder", "client"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+    // A fetched class counts against the class quota.
+    rt.set_quota("client", None, Some(0)).unwrap();
+    let err = client.bind(&Cod::factory("TestObject", "t")).unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+}
+
+#[test]
+fn factory_births_pass_trust_and_object_quota() {
+    let mut rt = fast_runtime(&["lab", "fortress", "tiny"]);
+    rt.deploy_class("TestObject", "lab").unwrap();
+    rt.set_trust("fortress", Some(&[])).unwrap();
+    rt.set_quota("tiny", Some(1), None).unwrap();
+    let lab = rt.session("lab").unwrap();
+    let err = lab
+        .bind(&Rev::factory("TestObject", "spy", "fortress"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+    lab.bind(&Rev::factory("TestObject", "a", "tiny")).unwrap();
+    let err = lab
+        .bind(&Rev::factory("TestObject", "b", "tiny"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+}
+
+#[test]
+fn class_push_over_the_class_quota_is_denied() {
+    let mut rt = fast_runtime(&["lab", "remote"]);
+    rt.deploy_class("TestObject", "lab").unwrap();
+    rt.set_quota("remote", None, Some(0)).unwrap();
+    let lab = rt.session("lab").unwrap();
+    let err = lab
+        .bind(&Rev::factory("TestObject", "x", "remote"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::Denied(_)), "{err:?}");
+}
+
+#[test]
+fn creating_a_taken_name_fails_locally_as_bad_plan_and_remotely_as_rmi() {
+    let mut rt = fast_runtime(&["lab", "far"]);
+    with_object(&mut rt, "lab", "x");
+    let lab = rt.session("lab").unwrap();
+    let err = lab
+        .create(ObjectSpec::new("x").class("TestObject"))
+        .unwrap_err();
+    assert!(matches!(err, MageError::BadPlan(_)), "{err:?}");
+    let remote = || {
+        ObjectSpec::new("y")
+            .class("TestObject")
+            .mobility(Rev::new("TestObject", "y", "far"))
+    };
+    lab.create(remote()).unwrap();
+    let err = lab.create(remote()).unwrap_err();
+    assert!(matches!(err, MageError::Rmi(_)), "{err:?}");
+}
+
+#[test]
 fn custom_policy_attribute_moves_off_loaded_hosts() {
     let mut rt = fast_runtime(&["hot", "cool"]);
     with_object(&mut rt, "hot", "worker");

@@ -84,9 +84,8 @@ pub use mage_sim as sim;
 pub use mage_workloads as workloads;
 
 pub use mage_core::{
-    admission, attribute, class, coercion, component, error, lock, object, proto, registry,
-    security, spec, workload_support, BindReceipt, ClassDef, ClassLibrary, Component, DesignTriple,
-    Durability, LockKind, MageError, Method, MobileEnv, MobileObject, ModelKind, NodeConfig,
-    ObjectHandle, ObjectSpec, Pending, Placement, Runtime, RuntimeBuilder, Session, Stub,
-    Visibility,
+    admission, attribute, class, coercion, component, error, lock, object, proto, registry, spec,
+    workload_support, BindReceipt, ClassDef, ClassLibrary, Component, DesignTriple, Durability,
+    LockKind, MageError, Method, MobileEnv, MobileObject, ModelKind, NodeConfig, ObjectHandle,
+    ObjectSpec, Pending, Placement, Runtime, RuntimeBuilder, Session, Stub, Visibility,
 };
