@@ -2,7 +2,7 @@
 //! network fabric.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -109,12 +109,118 @@ struct NodeSlot {
     up: bool,
 }
 
+/// How far the op window may trail the newest op before its oldest held
+/// op moves aside to [`OpTable::stragglers`].
+const OP_WINDOW: usize = 1024;
+
 enum OpSlot {
     Pending,
     Done(Result<Bytes, String>),
-    /// The driver abandoned the operation; its eventual result is
-    /// discarded instead of being retained forever.
-    Forgotten,
+    /// Collected or forgotten: a completion arriving now is dropped.
+    Vacant,
+}
+
+/// The driver's operations, indexed by their sequential [`OpId`]s.
+///
+/// Ops are begun in id order and mostly collected in that order, so the
+/// table is a window over the ids from the oldest op still held: a lookup
+/// is an index, not a hash. A collected or forgotten op vacates its slot,
+/// and the window's front advances past vacant slots. An op still held
+/// when the window reaches [`OP_WINDOW`] ops moves to a small side map,
+/// so one op that never completes cannot make the window grow with every
+/// later op.
+struct OpTable {
+    /// Id of `window[0]`.
+    base: u64,
+    /// `window[i]` is op `base + i`; the front is never vacant.
+    window: VecDeque<OpSlot>,
+    /// Held ops the window has passed.
+    stragglers: IdMap<OpId, OpSlot>,
+}
+
+impl OpTable {
+    fn new() -> Self {
+        OpTable {
+            base: 0,
+            // Reserved up front: the window never holds more slots, so
+            // its storage is never reallocated on the op path.
+            window: VecDeque::with_capacity(OP_WINDOW),
+            stragglers: IdMap::default(),
+        }
+    }
+
+    fn begin(&mut self) -> OpId {
+        if self.window.len() == OP_WINDOW {
+            let oldest = self.window.pop_front().expect("the window is full");
+            self.stragglers.insert(OpId(self.base), oldest);
+            self.base += 1;
+            self.trim();
+        }
+        self.window.push_back(OpSlot::Pending);
+        OpId(self.base + self.window.len() as u64 - 1)
+    }
+
+    #[inline]
+    fn slot(&self, op: OpId) -> Option<&OpSlot> {
+        match op.0.checked_sub(self.base) {
+            Some(i) => self.window.get(usize::try_from(i).ok()?),
+            None => self.stragglers.get(&op),
+        }
+    }
+
+    fn slot_mut(&mut self, op: OpId) -> Option<&mut OpSlot> {
+        match op.0.checked_sub(self.base) {
+            Some(i) => self.window.get_mut(usize::try_from(i).ok()?),
+            None => self.stragglers.get_mut(&op),
+        }
+    }
+
+    #[inline]
+    fn result(&self, op: OpId) -> Option<&Result<Bytes, String>> {
+        match self.slot(op) {
+            Some(OpSlot::Done(result)) => Some(result),
+            _ => None,
+        }
+    }
+
+    /// Stores `op`'s result, unless the op was never begun, or was
+    /// already collected or forgotten.
+    fn complete(&mut self, op: OpId, result: Result<Bytes, String>) {
+        if let Some(slot) = self.slot_mut(op) {
+            if !matches!(slot, OpSlot::Vacant) {
+                *slot = OpSlot::Done(result);
+            }
+        }
+    }
+
+    /// Removes `op`, returning its result if it had completed.
+    fn take(&mut self, op: OpId) -> Option<Result<Bytes, String>> {
+        let taken = if op.0 < self.base {
+            self.stragglers.remove(&op)
+        } else {
+            self.slot_mut(op)
+                .map(|slot| std::mem::replace(slot, OpSlot::Vacant))
+        };
+        self.trim();
+        match taken {
+            Some(OpSlot::Done(result)) => Some(result),
+            _ => None,
+        }
+    }
+
+    /// Advances the window's front past vacant slots.
+    fn trim(&mut self) {
+        while let Some(OpSlot::Vacant) = self.window.front() {
+            self.window.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Slots held, vacant ones inside the window included.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.window.len() + self.stragglers.len()
+    }
 }
 
 /// A deterministic simulated distributed system: a set of named nodes (the
@@ -158,8 +264,7 @@ pub struct World {
     trace: TraceLog,
     metrics: Metrics,
     cancelled: BTreeSet<TimerId>,
-    ops: IdMap<OpId, OpSlot>,
-    next_op: u64,
+    ops: OpTable,
     next_timer: u64,
     next_msg: u64,
     event_budget: u64,
@@ -191,8 +296,7 @@ impl World {
             trace: TraceLog::new(),
             metrics: Metrics::new(),
             cancelled: BTreeSet::new(),
-            ops: IdMap::default(),
-            next_op: 0,
+            ops: OpTable::new(),
             next_timer: 0,
             next_msg: 0,
             event_budget: DEFAULT_EVENT_BUDGET,
@@ -402,30 +506,20 @@ impl World {
 
     /// Registers a new driver operation in the pending state.
     pub fn begin_op(&mut self) -> OpId {
-        let id = OpId(self.next_op);
-        self.next_op += 1;
-        self.ops.insert(id, OpSlot::Pending);
-        id
+        self.ops.begin()
     }
 
     /// The result of `op` if it has completed.
+    #[inline]
     pub fn op_result(&self, op: OpId) -> Option<&Result<Bytes, String>> {
-        match self.ops.get(&op) {
-            Some(OpSlot::Done(result)) => Some(result),
-            _ => None,
-        }
+        self.ops.result(op)
     }
 
     /// Abandons an operation the driver no longer cares about: any stored
     /// result is dropped now, and an in-flight completion is dropped when
     /// it arrives instead of being retained forever.
     pub fn forget_op(&mut self, op: OpId) {
-        // Still running: leave a tombstone so the completion is discarded
-        // (and the tombstone with it). Done, already forgotten, or never
-        // begun: removal alone retains nothing.
-        if let Some(OpSlot::Pending) = self.ops.remove(&op) {
-            self.ops.insert(op, OpSlot::Forgotten);
-        }
+        self.ops.take(op);
     }
 
     /// Injects a driver payload for delivery to `to` at the current instant.
@@ -592,9 +686,8 @@ impl World {
     pub fn block_on(&mut self, op: OpId) -> Result<Bytes, SimError> {
         let mut budget = self.event_budget;
         loop {
-            if let Some(OpSlot::Done(result)) = self.ops.get(&op) {
-                let result = result.clone();
-                self.ops.remove(&op);
+            if self.ops.result(op).is_some() {
+                let result = self.ops.take(op).expect("checked above");
                 return result.map_err(SimError::Op);
             }
             if !self.step() {
@@ -710,13 +803,7 @@ impl World {
                 Effect::CancelTimer(id) => {
                     self.cancelled.insert(id);
                 }
-                Effect::CompleteOp { op, result } => match self.ops.remove(&op) {
-                    // Results of abandoned ops are dropped on the floor.
-                    Some(OpSlot::Forgotten) => {}
-                    _ => {
-                        self.ops.insert(op, OpSlot::Done(result));
-                    }
-                },
+                Effect::CompleteOp { op, result } => self.ops.complete(op, result),
                 Effect::Note(text) => {
                     self.trace.push(TraceEvent::Note {
                         at: self.clock,
@@ -1049,6 +1136,62 @@ mod tests {
         world.inject(a, "ask", Bytes::from(op.as_raw().to_le_bytes().to_vec()));
         assert_eq!(world.block_on(op), Err(SimError::Stalled));
         assert_eq!(world.metrics().net.dropped, 1);
+    }
+
+    fn ask(world: &mut World, node: NodeId, op: OpId) {
+        world.inject(node, "ask", Bytes::from(op.as_raw().to_le_bytes().to_vec()));
+    }
+
+    #[test]
+    fn op_table_holds_only_live_ops() {
+        let mut world = World::new(1);
+        let a = world.add_node("a", CountingActor { seen: 0 });
+        // Held and never completed: the window must move past it.
+        let held = world.begin_op();
+        for _ in 0..100_000 {
+            let op = world.begin_op();
+            ask(&mut world, a, op);
+            world.block_on(op).unwrap();
+        }
+        assert_eq!(world.ops.len(), 1, "only the held op remains");
+        assert!(world.op_result(held).is_none());
+
+        // A forgotten op's late completion is dropped.
+        let forgotten = world.begin_op();
+        world.forget_op(forgotten);
+        ask(&mut world, a, forgotten);
+        world.run_until_idle().unwrap();
+        assert!(world.op_result(forgotten).is_none());
+        assert_eq!(world.ops.len(), 1);
+
+        // So is a completion for an op id never begun.
+        ask(&mut world, a, OpId::from_raw(1 << 40));
+        world.run_until_idle().unwrap();
+        assert!(world.op_result(OpId::from_raw(1 << 40)).is_none());
+        assert_eq!(world.ops.len(), 1);
+
+        // The held op still completes and collects through the side map.
+        ask(&mut world, a, held);
+        assert!(world.block_on(held).is_ok());
+        assert_eq!(world.ops.len(), 0);
+    }
+
+    #[test]
+    fn held_ops_outside_the_window_stay_addressable() {
+        let mut world = World::new(1);
+        let a = world.add_node("a", CountingActor { seen: 0 });
+        let ops: Vec<OpId> = (0..3 * OP_WINDOW).map(|_| world.begin_op()).collect();
+        assert!(world.ops.window.len() <= OP_WINDOW);
+        // Complete them newest first; each result lands where its op lives.
+        for &op in ops.iter().rev() {
+            ask(&mut world, a, op);
+        }
+        world.run_until_idle().unwrap();
+        assert!(ops.iter().all(|&op| world.op_result(op).is_some()));
+        for op in ops {
+            world.block_on(op).unwrap();
+        }
+        assert_eq!(world.ops.len(), 0);
     }
 
     struct OldTimer;
