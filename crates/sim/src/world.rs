@@ -72,29 +72,77 @@ enum EventKind {
     },
 }
 
-struct Scheduled {
+/// An event's place in the queue: ordered by firing instant, then by
+/// scheduling order (`seq` is unique, so `slot` never decides). The
+/// event's body waits in [`EventQueue::slab`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind,
+    slot: u32,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+enum Slot {
+    Event(EventKind),
+    /// Unused; links to the next free slot.
+    Free(Option<u32>),
+}
+
+/// The pending events: a binary heap of 24-byte [`Key`]s over a slab of
+/// event bodies. A sift moves only keys; a body is written once when
+/// scheduled and moved out once when popped, and its slot is reused
+/// through a free list threaded through the slab.
+#[derive(Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<Key>>,
+    slab: Vec<Slot>,
+    /// Head of the free list.
+    free: Option<u32>,
+    /// Sequence number of the next scheduled event.
+    seq: u64,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: SimTime, kind: EventKind) {
+        let slot = match self.free {
+            Some(slot) => {
+                let Slot::Free(next) =
+                    std::mem::replace(&mut self.slab[slot as usize], Slot::Event(kind))
+                else {
+                    unreachable!("the free list links free slots only")
+                };
+                self.free = next;
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("fewer than 2^32 queued events");
+                self.slab.push(Slot::Event(kind));
+                slot
+            }
+        };
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Key { at, seq, slot }));
     }
-}
 
-impl Eq for Scheduled {}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Removes the earliest event, with the instant it is due.
+    fn pop(&mut self) -> Option<(SimTime, EventKind)> {
+        let Reverse(key) = self.heap.pop()?;
+        let freed = Slot::Free(self.free);
+        let Slot::Event(kind) = std::mem::replace(&mut self.slab[key.slot as usize], freed) else {
+            unreachable!("a queued key names an occupied slot")
+        };
+        self.free = Some(key.slot);
+        Some((key.at, kind))
     }
-}
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+    /// When the earliest event is due.
+    fn next_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|Reverse(key)| key.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
     }
 }
 
@@ -226,6 +274,13 @@ impl OpTable {
 /// A deterministic simulated distributed system: a set of named nodes (the
 /// paper's *namespaces*), a network fabric, and a virtual clock.
 ///
+/// Events fire in `(instant, scheduling order)`. The queue is a binary
+/// heap of 24-byte keys over a slab of event bodies, so a sift moves keys
+/// only and a freed body slot is reused by the next event. Driver
+/// operations live in a table indexed by their sequential [`OpId`]s: a
+/// window from the oldest op still held, with ops held long past it kept
+/// aside, so the table's size follows the ops the driver still holds.
+///
 /// The world owns one effect buffer that every actor dispatch reuses, so
 /// once warmed a dispatch allocates nothing beyond what the actor itself
 /// allocates.
@@ -253,8 +308,7 @@ impl OpTable {
 /// ```
 pub struct World {
     clock: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Reverse<Scheduled>>,
+    queue: EventQueue,
     nodes: Vec<NodeSlot>,
     /// Per-node incarnation numbers, parallel to `nodes` (a separate
     /// vector so actor dispatch can borrow it alongside the RNG).
@@ -287,8 +341,7 @@ impl World {
     pub fn with_network(seed: u64, net: Network) -> Self {
         World {
             clock: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::default(),
             nodes: Vec::new(),
             epochs: Vec::new(),
             net,
@@ -540,7 +593,7 @@ impl World {
             });
         }
         let to_epoch = self.epochs.get(to.index()).copied().unwrap_or(0);
-        self.push_event(
+        self.queue.push(
             self.clock,
             EventKind::Deliver {
                 from: NodeId::DRIVER,
@@ -556,12 +609,12 @@ impl World {
 
     /// Processes the next event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(event)) = self.queue.pop() else {
+        let Some((at, event)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(event.at >= self.clock, "time must not run backwards");
-        self.clock = event.at;
-        match event.kind {
+        debug_assert!(at >= self.clock, "time must not run backwards");
+        self.clock = at;
+        match event {
             EventKind::Deliver {
                 from,
                 to,
@@ -660,8 +713,8 @@ impl World {
     /// first.
     pub fn run_until(&mut self, deadline: SimTime) -> Result<(), SimError> {
         let mut budget = self.event_budget;
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > deadline {
+        while let Some(at) = self.queue.next_at() {
+            if at > deadline {
                 break;
             }
             self.step();
@@ -698,12 +751,6 @@ impl World {
                 return Err(SimError::BudgetExhausted);
             }
         }
-    }
-
-    fn push_event(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Scheduled { at, seq, kind }));
     }
 
     fn with_actor(&mut self, node: NodeId, run: impl FnOnce(&mut dyn Actor, &mut Context<'_>)) {
@@ -760,7 +807,7 @@ impl World {
                         Ok(net_delay) => {
                             let from_epoch = self.epochs[node.index()];
                             let to_epoch = self.epochs.get(to.index()).copied().unwrap_or(0);
-                            self.push_event(
+                            self.queue.push(
                                 depart + net_delay,
                                 EventKind::Deliver {
                                     from: node,
@@ -790,7 +837,7 @@ impl World {
                 }
                 Effect::SetTimer { id, after, tag } => {
                     let epoch = self.epochs[node.index()];
-                    self.push_event(
+                    self.queue.push(
                         self.clock + after,
                         EventKind::Timer {
                             node,
@@ -1192,6 +1239,103 @@ mod tests {
             world.block_on(op).unwrap();
         }
         assert_eq!(world.ops.len(), 0);
+    }
+
+    /// Fires `total` zero-delay timers: each firing schedules the next two
+    /// tags at the same instant, so pushes and pops interleave and every
+    /// push after the first pops reuses a freed slab slot.
+    struct Fanout {
+        next: u64,
+        total: u64,
+    }
+
+    impl Actor for Fanout {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.on_timer(ctx, u64::MAX);
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+            if tag != u64::MAX {
+                ctx.note(format!("{tag}"));
+            }
+            for _ in 0..2 {
+                if self.next < self.total {
+                    ctx.set_timer(SimDuration::ZERO, self.next);
+                    self.next += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_instant_events_fire_in_scheduling_order() {
+        let mut world = World::new(1);
+        world.trace_mut().enable();
+        world.add_node(
+            "f",
+            Fanout {
+                next: 0,
+                total: 200,
+            },
+        );
+        world.run_until_idle().unwrap();
+        let fired: Vec<u64> = world
+            .trace()
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::Note { text, .. } => text.parse().ok(),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fired, (0..200).collect::<Vec<_>>());
+        assert!(world.queue.slab.len() < 200, "slots are recycled");
+    }
+
+    #[test]
+    fn event_queue_pops_in_instant_then_scheduling_order() {
+        // Interleave pushes at a few instants (many ties) with pops, and
+        // check every pop against a model sorted by (instant, sequence).
+        let mut queue = EventQueue::default();
+        let mut model: Vec<(SimTime, u64)> = Vec::new();
+        let mut lcg: u64 = 7;
+        let mut next = |m: u64| {
+            lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (lcg >> 33) % m
+        };
+        let timer = |tag| EventKind::Timer {
+            node: NodeId::from_raw(0),
+            id: TimerId(0),
+            tag,
+            epoch: 0,
+        };
+        let mut clock = 0;
+        for seq in 0..5_000 {
+            let at = SimTime::from_micros(clock + next(3));
+            queue.push(at, timer(seq));
+            model.push((at, seq));
+            if next(2) == 0 {
+                model.sort();
+                let (at, seq) = model.remove(0);
+                let (got_at, got) = queue.pop().unwrap();
+                let EventKind::Timer { tag, .. } = got else {
+                    unreachable!()
+                };
+                assert_eq!((got_at, tag), (at, seq));
+                clock = at.as_micros();
+            }
+        }
+        model.sort();
+        for (at, seq) in model {
+            let (got_at, got) = queue.pop().unwrap();
+            let EventKind::Timer { tag, .. } = got else {
+                unreachable!()
+            };
+            assert_eq!((got_at, tag), (at, seq));
+        }
+        assert!(queue.pop().is_none());
     }
 
     struct OldTimer;
