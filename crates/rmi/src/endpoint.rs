@@ -15,18 +15,30 @@
 //! object/method names travel as interned [`NameId`]s (the backing string
 //! rides along until the peer acknowledges it — see [`crate::symbols`]),
 //! encoding goes through a reusable per-endpoint scratch buffer, the
-//! pending table, dedup cache and timers reuse their storage, responses
-//! are cached as ready-to-resend frames, and retransmissions clone the
-//! original frame instead of re-encoding. What remains is the data: the
-//! request and response frames, and whatever the caller and the called
-//! object allocate. Heap allocations per warmed op, as printed by the
-//! attribution test in `crates/core/tests/alloc_budget.rs`:
+//! pending table, deadline queue and dedup cache reuse their storage,
+//! responses are cached as ready-to-resend frames, and retransmissions
+//! clone the original frame instead of re-encoding. What remains is the
+//! data: the request and response frames, and whatever the caller and the
+//! called object allocate. Heap allocations per warmed op, as printed by
+//! the attribution test in `crates/core/tests/alloc_budget.rs`:
 //!
 //! | operation | allocs/op | frames | the rest |
 //! |---|---|---|---|
 //! | raw round trip ([`drive_call`](crate::drive_call), unit args) | 5 | 2 | the caller's marshalled args; the driver command and its `Bytes` |
 //! | MAGE `Session::call` | 5 | 2 | the marshalled args; the object's result; the op-id key |
 //! | MAGE REV `bind_invoke` | 20 | 8 | the args, op-id key and plan; the find's visited list; the moved state, decoded and reinstantiated; service replies and object results |
+//!
+//! **One retransmission timer per endpoint**, as TCP keeps one per
+//! connection (RFC 6298 §5). The endpoint keeps the retransmission
+//! deadlines of its unanswered calls in one queue ordered by deadline; a
+//! response removes its call's entry, and a single simulator timer is
+//! armed at or before the earliest deadline. When it fires, each due call
+//! is retransmitted, with its next deadline [`Config::call_timeout`] after
+//! the firing instant, or failed with [`RmiError::PeerUnreachable`] once
+//! [`Config::max_retries`] retransmissions went unanswered; then the
+//! timer re-arms at the earliest remaining deadline. The last answer
+//! cancels it, so an answered call leaves nothing in the world's event
+//! queue.
 //!
 //! **Failure detection is purely message-driven.** Every frame carries its
 //! sender's incarnation epoch (a boot counter); an endpoint learns that a
@@ -59,8 +71,9 @@ use crate::object::{ObjectEnv, RemoteObject};
 use crate::symbols::{IntoName, NameId, SymbolTable};
 use crate::wire::{call_label, encode_call_req, encode_call_rsp, WireMsg};
 
-/// Timer tags with this bit set are endpoint-internal (retransmission).
-const RETX_FLAG: u64 = 1 << 63;
+/// Tag of the endpoint's retransmission timer. App timer tags must leave
+/// this bit clear.
+const RETX_TAG: u64 = 1 << 63;
 
 /// Endpoint configuration.
 #[derive(Debug, Clone, Copy)]
@@ -245,6 +258,9 @@ struct PendingCall {
     attempts: u32,
     max_retries: u32,
     timeout: SimDuration,
+    /// When the call is retransmitted (or failed) unless answered first;
+    /// its entry in [`EndpointState::deadlines`].
+    deadline: SimTime,
 }
 
 /// Whether a peer has acknowledged learning one of our interned names.
@@ -287,6 +303,13 @@ pub struct EndpointState {
     cache_order: VecDeque<(NodeId, u64)>,
     /// Reusable encode buffer for every outgoing frame.
     scratch: Vec<u8>,
+    /// Retransmission deadlines of the unanswered calls in `pending`,
+    /// sorted by `(deadline, call_id)`: one entry per call.
+    deadlines: VecDeque<(SimTime, u64)>,
+    /// The endpoint's one retransmission timer: when it fires and its id.
+    /// It is armed, at or before the earliest deadline, exactly while
+    /// `deadlines` is non-empty.
+    retx_timer: Option<(SimTime, TimerId)>,
 }
 
 impl EndpointState {
@@ -305,6 +328,51 @@ impl EndpointState {
             response_cache: IdMap::default(),
             cache_order: VecDeque::new(),
             scratch: Vec::with_capacity(256),
+            // Room for a pipelined client's calls in flight.
+            deadlines: VecDeque::with_capacity(8),
+            retx_timer: None,
+        }
+    }
+
+    /// Queues `call_id`'s retransmission deadline.
+    fn push_deadline(&mut self, deadline: SimTime, call_id: u64) {
+        let entry = (deadline, call_id);
+        let at = self.deadlines.partition_point(|&queued| queued < entry);
+        self.deadlines.insert(at, entry);
+    }
+
+    /// Drops an answered call's retransmission deadline. While other
+    /// calls wait, the timer stays where it is: if it fires with nothing
+    /// due, it re-arms at the new earliest deadline. The last answer
+    /// cancels it.
+    fn remove_deadline(&mut self, ctx: &mut Context<'_>, deadline: SimTime, call_id: u64) {
+        let at = self
+            .deadlines
+            .binary_search(&(deadline, call_id))
+            .expect("a pending call's deadline is queued");
+        self.deadlines.remove(at);
+        if self.deadlines.is_empty() {
+            if let Some((_, id)) = self.retx_timer.take() {
+                ctx.cancel_timer(id);
+            }
+        }
+    }
+
+    /// Arms the retransmission timer at the earliest deadline, unless it
+    /// already fires at or before it.
+    fn arm(&mut self, ctx: &mut Context<'_>) {
+        let Some(&(first, _)) = self.deadlines.front() else {
+            return;
+        };
+        match self.retx_timer {
+            Some((at, _)) if at <= first => {}
+            later => {
+                if let Some((_, id)) = later {
+                    ctx.cancel_timer(id);
+                }
+                let id = ctx.set_timer(first - ctx.now(), RETX_TAG);
+                self.retx_timer = Some((first, id));
+            }
         }
     }
 
@@ -592,6 +660,7 @@ impl<'a, 'c> Env<'a, 'c> {
             "call".into()
         };
         self.ctx.send_after(delay, to, label, frame.clone());
+        let deadline = self.ctx.now() + delay + timeout;
         self.state.pending.insert(
             call_id,
             PendingCall {
@@ -605,9 +674,11 @@ impl<'a, 'c> Env<'a, 'c> {
                 attempts: 1,
                 max_retries,
                 timeout,
+                deadline,
             },
         );
-        self.ctx.set_timer(delay + timeout, RETX_FLAG | call_id);
+        self.state.push_deadline(deadline, call_id);
+        self.state.arm(self.ctx);
     }
 
     /// Answers a deferred inbound call. Returns `true` when the reply was
@@ -676,17 +747,13 @@ impl<'a, 'c> Env<'a, 'c> {
     }
 
     /// Sets an application timer. `tag` must not use the top bit, which is
-    /// reserved for the endpoint's retransmission timers.
+    /// reserved for the endpoint's retransmission timer.
     ///
     /// # Panics
     ///
     /// Panics if `tag` has the reserved bit set.
     pub fn set_timer(&mut self, after: SimDuration, tag: u64) -> TimerId {
-        assert_eq!(
-            tag & RETX_FLAG,
-            0,
-            "app timer tags must not use the top bit"
-        );
+        assert_eq!(tag & RETX_TAG, 0, "app timer tags must not use the top bit");
         self.ctx.set_timer(after, tag)
     }
 
@@ -889,6 +956,7 @@ impl<A: App> Endpoint<A> {
         let Some(pending) = self.state.pending.remove(&call_id) else {
             return; // late duplicate after a retransmitted call already completed
         };
+        self.state.remove_deadline(ctx, pending.deadline, call_id);
         if ctx.trace_enabled() {
             ctx.note(format!(
                 "invariant:rsp-accepted:{call_id}:{req_epoch}:{}",
@@ -947,11 +1015,10 @@ impl<A: App> Endpoint<A> {
         } else {
             "call".into()
         };
-        // Resend immediately, but do NOT arm a second retransmission
-        // timer: the chain started at send time is still live (each
-        // firing re-arms itself) and now retransmits the updated frame —
-        // a second chain would double-count attempts and exhaust the
-        // retry budget at half its configured depth.
+        // Resend immediately, but leave the call's retransmission
+        // deadline where it is: the deadline queue keeps one entry per
+        // call, which now retransmits the updated frame. Restarting the
+        // deadline would let every NACK postpone the retry schedule.
         ctx.send(to, label, frame.clone());
         let pending = self.state.pending.get_mut(&call_id).expect("checked above");
         pending.frame = frame;
@@ -960,40 +1027,63 @@ impl<A: App> Endpoint<A> {
         true
     }
 
-    fn handle_retx(&mut self, ctx: &mut Context<'_>, call_id: u64) {
-        let Some(pending) = self.state.pending.get_mut(&call_id) else {
-            return; // answered already
-        };
-        if pending.attempts <= pending.max_retries {
-            pending.attempts += 1;
-            let to = pending.to;
-            let timeout = pending.timeout;
-            let frame = pending.frame.clone();
-            let label: Label = if ctx.trace_enabled() {
-                let object = self.state.syms.resolve_lossy(pending.object);
-                let method = self.state.syms.resolve_lossy(pending.method);
-                call_label(&object, &method).into()
+    /// The retransmission timer fired: every call whose deadline has come
+    /// is retransmitted, with its next deadline `timeout` from now, or
+    /// failed with [`RmiError::PeerUnreachable`] once its retries are
+    /// spent. Then the timer re-arms at the earliest remaining deadline.
+    fn handle_retx(&mut self, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        debug_assert_eq!(
+            self.state.retx_timer.map(|(at, _)| at),
+            Some(now),
+            "only the armed retransmission timer fires"
+        );
+        // The spent timer stays recorded until every due call is handled,
+        // so a call the app makes from `on_reply` arms nothing: the re-arm
+        // below covers it.
+        while let Some(&(deadline, call_id)) = self.state.deadlines.front() {
+            if deadline > now {
+                break;
+            }
+            self.state.deadlines.pop_front();
+            let pending = self
+                .state
+                .pending
+                .get_mut(&call_id)
+                .expect("every queued deadline belongs to a pending call");
+            if pending.attempts <= pending.max_retries {
+                pending.attempts += 1;
+                pending.deadline = now + pending.timeout;
+                let (to, next) = (pending.to, pending.deadline);
+                let frame = pending.frame.clone();
+                let label: Label = if ctx.trace_enabled() {
+                    let object = self.state.syms.resolve_lossy(pending.object);
+                    let method = self.state.syms.resolve_lossy(pending.method);
+                    call_label(&object, &method).into()
+                } else {
+                    "call".into()
+                };
+                ctx.send(to, label, frame);
+                self.state.push_deadline(next, call_id);
             } else {
-                "call".into()
-            };
-            ctx.send(to, label, frame);
-            ctx.set_timer(timeout, RETX_FLAG | call_id);
-        } else {
-            // Retry budget exhausted with no response at all: the peer is
-            // unreachable from here (crashed, partitioned, or silent).
-            // Fail the call with a typed error instead of leaving the
-            // token pending forever.
-            let pending = self.state.pending.remove(&call_id).expect("checked above");
-            let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
-            self.app.on_reply(
-                &mut env,
-                pending.token,
-                Err(RmiError::PeerUnreachable {
-                    peer: pending.to,
-                    attempts: pending.attempts,
-                }),
-            );
+                // Retry budget exhausted with no response at all: the peer
+                // is unreachable from here (crashed, partitioned, or
+                // silent). Fail the call with a typed error instead of
+                // leaving the token pending forever.
+                let pending = self.state.pending.remove(&call_id).expect("checked above");
+                let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
+                self.app.on_reply(
+                    &mut env,
+                    pending.token,
+                    Err(RmiError::PeerUnreachable {
+                        peer: pending.to,
+                        attempts: pending.attempts,
+                    }),
+                );
+            }
         }
+        self.state.retx_timer = None;
+        self.state.arm(ctx);
     }
 }
 
@@ -1085,8 +1175,8 @@ impl<A: App> Actor for Endpoint<A> {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
-        if tag & RETX_FLAG != 0 {
-            self.handle_retx(ctx, tag & !RETX_FLAG);
+        if tag == RETX_TAG {
+            self.handle_retx(ctx);
         } else {
             let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
             self.app.on_timer(&mut env, tag);

@@ -9,7 +9,7 @@ use mage_rmi::{
     client_endpoint, drive_call, encode_args, server_endpoint, App, CallOutcome, Config, Endpoint,
     Env, Fault, InboundCall, ObjectEnv, RemoteObject, ReplyHandle, RmiError,
 };
-use mage_sim::{LinkSpec, NodeId, OpId, SimDuration, World};
+use mage_sim::{LinkSpec, NodeId, OpId, SimDuration, SimTime, TraceEvent, World};
 
 /// A counter whose increments are observable from outside the world.
 struct Counter {
@@ -143,6 +143,64 @@ fn unreachable_after_partition() {
         .unwrap()
         .unwrap_err();
     assert!(err.contains("unreachable"), "{err}");
+}
+
+/// Once a call is answered, nothing of it is left queued: an idle world
+/// stops at the reply's delivery, not at the call's retransmission
+/// deadline.
+#[test]
+fn an_answered_call_leaves_no_timer_behind() {
+    let (mut world, client, server, _) = lossy_world(0.0, 1);
+    drive_call(&mut world, client, server, "counter", "inc", vec![])
+        .unwrap()
+        .unwrap();
+    let replied = world.now();
+    world.run_until_idle().unwrap();
+    assert_eq!(world.now(), replied);
+}
+
+/// A request that is always dropped departs after its marshal and
+/// connect charge, is retransmitted at that departure plus
+/// `call_timeout`, then every `call_timeout`, and fails with
+/// `PeerUnreachable` at the deadline after its last retransmission.
+#[test]
+fn lost_requests_follow_the_retransmission_schedule() {
+    let cfg = Config::default();
+    let mut world = World::new(1);
+    let client = world.add_node("client", client_endpoint(cfg));
+    let hits = Rc::new(Cell::new(0));
+    let server = world.add_node(
+        "server",
+        server_endpoint(cfg, "counter", Box::new(Counter { hits })),
+    );
+    world.partition(client, server);
+    world.trace_mut().enable();
+    let t0 = world.now();
+    let err = drive_call(&mut world, client, server, "counter", "inc", vec![])
+        .unwrap()
+        .unwrap_err();
+    let sends: Vec<SimTime> = world
+        .trace()
+        .events()
+        .iter()
+        .filter_map(|event| match event {
+            TraceEvent::Send { at, label, .. } if label.starts_with("call") => Some(*at),
+            _ => None,
+        })
+        .collect();
+    let mut deadline = t0 + cfg.cost.marshal(0) + cfg.cost.connect;
+    let mut expected = Vec::new();
+    for _ in 0..=cfg.max_retries {
+        expected.push(deadline);
+        deadline += cfg.call_timeout;
+    }
+    assert_eq!(sends, expected);
+    assert_eq!(world.now(), deadline, "the call fails at its last deadline");
+    let unreachable = RmiError::PeerUnreachable {
+        peer: server,
+        attempts: cfg.max_retries + 1,
+    };
+    assert_eq!(err, unreachable.to_string());
 }
 
 #[test]

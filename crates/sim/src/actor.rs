@@ -237,7 +237,8 @@ impl<'a> Context<'a> {
         id
     }
 
-    /// Cancels a timer if it has not fired yet.
+    /// Cancels a timer if it has not fired yet. A cancelled timer neither
+    /// fires nor advances the clock.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id));
     }

@@ -11,13 +11,16 @@
 //! allocation counts replay exactly for a given seed. Keys that come from
 //! outside the program, such as user-chosen names, keep `RandomState`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed by internal ids, hashed with [`IdHasher`].
 ///
 /// Construct it with `IdMap::default()`.
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` of internal ids, hashed with [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Multiply-rotate word hasher (the "Fx" hash). Fast and deterministic;
 /// not resistant to chosen keys, so use it for internal ids only.

@@ -2,7 +2,7 @@
 //! network fabric.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::actor::{Actor, Context, Effect, Label, OpId, TimerId};
-use crate::idmap::IdMap;
+use crate::idmap::{IdMap, IdSet};
 use crate::metrics::Metrics;
 use crate::network::{DropReason, Network};
 use crate::time::{SimDuration, SimTime};
@@ -317,7 +317,9 @@ pub struct World {
     rng: StdRng,
     trace: TraceLog,
     metrics: Metrics,
-    cancelled: BTreeSet<TimerId>,
+    /// Timers cancelled before firing. When one comes up it is dropped:
+    /// it neither fires nor advances the clock.
+    cancelled: IdSet<TimerId>,
     ops: OpTable,
     next_timer: u64,
     next_msg: u64,
@@ -348,7 +350,7 @@ impl World {
             rng: StdRng::seed_from_u64(seed),
             trace: TraceLog::new(),
             metrics: Metrics::new(),
-            cancelled: BTreeSet::new(),
+            cancelled: IdSet::default(),
             ops: OpTable::new(),
             next_timer: 0,
             next_msg: 0,
@@ -612,6 +614,12 @@ impl World {
         let Some((at, event)) = self.queue.pop() else {
             return false;
         };
+        // A cancelled timer is dropped before it can move the clock.
+        if let EventKind::Timer { id, .. } = &event {
+            if self.cancelled.remove(id) {
+                return true;
+            }
+        }
         debug_assert!(at >= self.clock, "time must not run backwards");
         self.clock = at;
         match event {
@@ -663,14 +671,8 @@ impl World {
                 self.with_actor(to, |actor, ctx| actor.on_message(ctx, from, payload));
             }
             EventKind::Timer {
-                node,
-                id,
-                tag,
-                epoch,
+                node, tag, epoch, ..
             } => {
-                if self.cancelled.remove(&id) {
-                    return true;
-                }
                 // Timers armed by a previous incarnation die with it.
                 if !self.nodes[node.index()].up || self.epochs[node.index()] != epoch {
                     return true;
@@ -1074,6 +1076,24 @@ mod tests {
             })
             .collect();
         assert_eq!(notes, vec!["timer 1".to_owned(), "timer 3".to_owned()]);
+    }
+
+    #[test]
+    fn cancelled_timers_do_not_advance_the_clock() {
+        struct Canceller;
+        impl Actor for Canceller {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+                let late = ctx.set_timer(SimDuration::from_millis(5), 2);
+                ctx.cancel_timer(late);
+            }
+
+            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}
+        }
+        let mut world = World::new(1);
+        world.add_node("c", Canceller);
+        world.run_until_idle().unwrap();
+        assert_eq!(world.now(), SimTime::from_micros(1_000));
     }
 
     #[test]
