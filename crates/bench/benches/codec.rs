@@ -66,6 +66,7 @@ fn bench_wire_formats(c: &mut Criterion) {
     for size in [16usize, 1024, 65_536] {
         let v2 = WireMsg::CallReq {
             call_id: 42,
+            lag: 1,
             sender_epoch: 1,
             object: NameRef::id(NameId::from_raw(3)),
             method: NameRef::id(NameId::from_raw(9)),

@@ -533,22 +533,13 @@ impl MageNode {
         method: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, Fault> {
-        let Some(hosted) = self.objects.get(&name) else {
+        let Some(hosted) = self.objects.get_mut(&name).filter(|h| !h.in_transit) else {
             return Err(Fault::NotBound(self.name_str(name)));
         };
-        if hosted.in_transit {
-            return Err(Fault::NotBound(self.name_str(name)));
-        }
-        let mut hosted = self.objects.remove(&name).expect("checked above");
-        let (result, consumed, hop) = {
-            let mut menv = MobileEnv::new(env.node(), &self.name, env.now(), env.rng());
-            let result = hosted.object.invoke(method, args, &mut menv);
-            let consumed = menv.consumed();
-            let hop = menv.take_hop_request();
-            (result, consumed, hop)
-        };
+        let mut menv = MobileEnv::new(env.node(), &self.name, env.now(), env.rng());
+        let result = hosted.object.invoke(method, args, &mut menv);
+        let (consumed, hop) = (menv.consumed(), menv.take_hop_request());
         env.charge(consumed);
-        self.objects.insert(name, hosted);
         // Durability: a completed invocation may have mutated the object;
         // ship a fresh snapshot to the backup home before anything else
         // observes the new state's loss.

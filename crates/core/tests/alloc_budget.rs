@@ -16,7 +16,7 @@
 //! arguments, the object's result and the two frames), a warmed durable
 //! `call_handle` (one checkpoint shipped per call) at most 10, and a warmed
 //! REV `bind_invoke` at most 20. Warmed means past the first fill of every
-//! table, the server's 1024-entry response cache included.
+//! table, the server's call windows included.
 //!
 //! `attribute_allocations_per_call_site` is the attribution tool behind
 //! those numbers: run it with

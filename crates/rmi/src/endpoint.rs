@@ -3,8 +3,8 @@
 //! Responsibilities mirrored from Java RMI:
 //!
 //! * a per-node name registry of [`RemoteObject`]s (skeleton dispatch)
-//! * outgoing calls with correlation ids, retransmission on loss and an
-//!   at-most-once server-side dedup cache
+//! * outgoing calls with correlation ids, retransmission on loss and
+//!   exact at-most-once execution through per-caller call windows
 //! * connection priming: a client's first call to a given server pays a
 //!   one-time [`CostModel::connect`] charge (the paper's "warming the
 //!   caches" single-invocation overhead)
@@ -15,8 +15,8 @@
 //! object/method names travel as interned [`NameId`]s (the backing string
 //! rides along until the peer acknowledges it — see [`crate::symbols`]),
 //! encoding goes through a reusable per-endpoint scratch buffer, the
-//! pending table, deadline queue and dedup cache reuse their storage,
-//! responses are cached as ready-to-resend frames, and retransmissions
+//! pending queue, deadline queue and call windows reuse their storage,
+//! answers are held as ready-to-resend frames, and retransmissions
 //! clone the original frame instead of re-encoding. What remains is the
 //! data: the request and response frames, and whatever the caller and the
 //! called object allocate. Heap allocations per warmed op, as printed by
@@ -40,6 +40,16 @@
 //! cancels it, so an answered call leaves nothing in the world's event
 //! queue.
 //!
+//! **At-most-once in O(in-flight): one call window per caller
+//! incarnation** (Birrell & Nelson, *Implementing Remote Procedure Calls*,
+//! 1984). Every request carries its caller's oldest unanswered call id,
+//! the window's floor; above it the server keeps each executed call as
+//! `Deferred` (the app works on it) or `Answered` (its frame, re-sent to a
+//! duplicate). A request below the floor is dropped unexecuted: its
+//! caller has the answer or gave up. Raising the floor frees the answers
+//! below it, so a window holds what its caller has in flight, however
+//! many calls others make meanwhile.
+//!
 //! **Failure detection is purely message-driven.** Every frame carries its
 //! sender's incarnation epoch (a boot counter); an endpoint learns that a
 //! peer restarted the moment the first frame from the fresh incarnation
@@ -58,7 +68,7 @@
 //! machine that can originate calls, answer calls not handled by the local
 //! object registry, and defer replies while it performs nested calls.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -76,6 +86,10 @@ use crate::wire::{call_label, encode_call_req, encode_call_rsp, WireMsg};
 const RETX_TAG: u64 = 1 << 63;
 
 /// Endpoint configuration.
+///
+/// Duplicate suppression needs no setting: a server holds each caller's
+/// answers only until the caller's next request shows it received them
+/// (see the module docs on call windows).
 #[derive(Debug, Clone, Copy)]
 pub struct Config {
     /// CPU cost model for marshalling/dispatch/connection setup.
@@ -84,8 +98,6 @@ pub struct Config {
     pub call_timeout: SimDuration,
     /// Retransmissions attempted after the first send.
     pub max_retries: u32,
-    /// Bound on the at-most-once response cache.
-    pub response_cache_size: usize,
 }
 
 impl Default for Config {
@@ -94,7 +106,6 @@ impl Default for Config {
             cost: CostModel::jdk_1_2_2(),
             call_timeout: SimDuration::from_millis(200),
             max_retries: 3,
-            response_cache_size: 1024,
         }
     }
 }
@@ -228,10 +239,11 @@ pub trait App {
     ///
     /// By the time this runs the endpoint has already invalidated its own
     /// per-peer state — symbol-ack tracking, connection priming, learned
-    /// name translations, the response dedup cache and deferred-call
-    /// bookkeeping for that peer. Apps use the hook for *their* per-peer
-    /// state: draining lock queues whose holder died, repairing registry
-    /// entries that point at the lost incarnation, and so on.
+    /// name translations and the call windows (answered and deferred
+    /// calls) of the peer's dead incarnations. Apps use the hook for
+    /// *their* per-peer state: draining lock queues whose holder died,
+    /// repairing registry entries that point at the lost incarnation, and
+    /// so on.
     fn on_peer_restart(&mut self, _env: &mut Env<'_, '_>, _peer: NodeId) {}
 }
 
@@ -242,6 +254,7 @@ pub struct ServerOnly;
 impl App for ServerOnly {}
 
 struct PendingCall {
+    call_id: u64,
     to: NodeId,
     token: u64,
     /// The encoded frame, kept for retransmission (cloning shares the
@@ -263,6 +276,68 @@ struct PendingCall {
     deadline: SimTime,
 }
 
+/// A call in a caller's window on the server.
+enum Slot {
+    /// Handed to the app, which answers it through [`Env::reply_with`].
+    Deferred,
+    /// Answered: the response as a ready-to-resend frame, with its label.
+    Answered(Bytes, &'static str),
+}
+
+/// The calls of one caller incarnation, as the server sees them.
+#[derive(Default)]
+struct CallWindow {
+    /// The caller's oldest unanswered call id, as last reported: every
+    /// call below it was answered and its reply received, or abandoned.
+    floor: u64,
+    /// Calls this endpoint executed, sorted by call id: the ones at or
+    /// above the floor, and deferred ones below it until they are
+    /// answered.
+    slots: VecDeque<(u64, Slot)>,
+}
+
+impl CallWindow {
+    /// Raises the floor to the one a request with `call_id` and `lag`
+    /// reports (`lag` 0 reports nothing) and frees the answered slots
+    /// below it.
+    fn raise_floor(&mut self, call_id: u64, lag: u8) {
+        let Some(back) = lag.checked_sub(1) else {
+            return;
+        };
+        let floor = call_id.saturating_sub(u64::from(back));
+        if floor > self.floor {
+            self.floor = floor;
+            self.slots
+                .retain(|(id, slot)| *id >= floor || matches!(slot, Slot::Deferred));
+        }
+    }
+
+    fn find(&self, call_id: u64) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&call_id, |&(id, _)| id)
+    }
+
+    /// Turns deferred `call_id` into an answered slot holding `frame`.
+    /// Below the floor the caller gave up on the call and will not ask
+    /// again, so the slot just goes.
+    fn answer(&mut self, call_id: u64, frame: &Bytes, label: &'static str) {
+        let at = match self.find(call_id) {
+            Ok(at) if matches!(self.slots[at].1, Slot::Deferred) => at,
+            _ => panic!("reply to unknown or already-answered call {call_id}"),
+        };
+        if call_id < self.floor {
+            self.slots.remove(at);
+        } else {
+            self.slots[at].1 = Slot::Answered(frame.clone(), label);
+        }
+    }
+
+    /// Records a newly executed call.
+    fn insert(&mut self, call_id: u64, slot: Slot) {
+        let at = self.find(call_id).expect_err("a call executes once");
+        self.slots.insert(at, (call_id, slot));
+    }
+}
+
 /// Whether a peer has acknowledged learning one of our interned names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NameState {
@@ -279,7 +354,9 @@ pub struct EndpointState {
     syms: Arc<SymbolTable>,
     objects: IdMap<NameId, Box<dyn RemoteObject>>,
     next_call: u64,
-    pending: IdMap<u64, PendingCall>,
+    /// Unanswered outgoing calls, sorted by call id: the front is the
+    /// oldest, whose id every request reports as its window floor.
+    pending: VecDeque<PendingCall>,
     primed: BTreeSet<NodeId>,
     /// Sender side of first-use name shipment: per peer, which of our ids
     /// the peer has (or is about to have) learned.
@@ -290,17 +367,13 @@ pub struct EndpointState {
     /// Last incarnation of each peer learned from a received frame's
     /// sender-epoch field; a change invalidates every per-peer table above
     /// and below (the old incarnation's acks, learned ids, primed
-    /// connection and cached responses died with it).
+    /// connection and call window died with it).
     peer_epochs: IdMap<NodeId, u64>,
-    /// Calls handed to the app and awaiting a deferred reply, keyed by
-    /// `(caller, call_id)` with the caller epoch stamped in the request —
-    /// so a purge can drop exactly the entries belonging to a dead
-    /// incarnation, even when the peer was never in `peer_epochs`.
-    deferred: BTreeMap<(NodeId, u64), u64>,
-    /// At-most-once dedup cache: responses stored as ready-to-resend
-    /// frames with their static label and the caller epoch they answer.
-    response_cache: IdMap<(NodeId, u64), (Bytes, &'static str, u64)>,
-    cache_order: VecDeque<(NodeId, u64)>,
+    /// Server side of at-most-once: one call window per caller
+    /// incarnation, keyed by `(caller, epoch stamped in its requests)` —
+    /// so a purge can drop exactly a dead incarnation's window, even when
+    /// the peer was never in `peer_epochs`.
+    windows: IdMap<(NodeId, u64), CallWindow>,
     /// Reusable encode buffer for every outgoing frame.
     scratch: Vec<u8>,
     /// Retransmission deadlines of the unanswered calls in `pending`,
@@ -319,14 +392,13 @@ impl EndpointState {
             syms,
             objects: IdMap::default(),
             next_call: 0,
-            pending: IdMap::default(),
+            // Room for a pipelined client's calls in flight.
+            pending: VecDeque::with_capacity(8),
             primed: BTreeSet::new(),
             shipped: IdMap::default(),
             learned: IdMap::default(),
             peer_epochs: IdMap::default(),
-            deferred: BTreeMap::new(),
-            response_cache: IdMap::default(),
-            cache_order: VecDeque::new(),
+            windows: IdMap::default(),
             scratch: Vec::with_capacity(256),
             // Room for a pipelined client's calls in flight.
             deadlines: VecDeque::with_capacity(8),
@@ -376,33 +448,23 @@ impl EndpointState {
         }
     }
 
-    fn cache_response(
-        &mut self,
-        key: (NodeId, u64),
-        frame: Bytes,
-        label: &'static str,
-        caller_epoch: u64,
-    ) {
-        // Re-caching an existing key must not duplicate its order entry:
-        // a duplicate makes a later eviction pop a stale entry, dropping a
-        // *live* cached response while the map stays over budget.
-        if self
-            .response_cache
-            .insert(key, (frame, label, caller_epoch))
-            .is_none()
-        {
-            self.cache_order.push_back(key);
-        }
-        while self.response_cache.len() > self.cfg.response_cache_size {
-            // Entries purged out of band (peer restarts) leave stale order
-            // slots behind; skip them until the map actually shrinks.
-            match self.cache_order.pop_front() {
-                Some(evicted) => {
-                    self.response_cache.remove(&evicted);
-                }
-                None => break,
-            }
-        }
+    /// The call window of `caller`'s incarnation `epoch`.
+    fn window(&mut self, caller: NodeId, epoch: u64) -> &mut CallWindow {
+        self.windows.entry((caller, epoch)).or_default()
+    }
+
+    /// Where `call_id` sits in the pending queue.
+    fn pending_at(&self, call_id: u64) -> Option<usize> {
+        self.pending
+            .binary_search_by_key(&call_id, |p| p.call_id)
+            .ok()
+    }
+
+    /// The `lag` a request for `call_id` carries: `call_id + 1` minus the
+    /// oldest unanswered call id, or 0 when that does not fit a byte.
+    fn lag(&self, call_id: u64) -> u8 {
+        let floor = self.pending.front().map_or(call_id, |p| p.call_id);
+        u8::try_from(call_id + 1 - floor).unwrap_or(0)
     }
 
     /// Records `peer`'s incarnation as learned from a received frame.
@@ -416,12 +478,12 @@ impl EndpointState {
             }
             Some(_) => false,
             None => {
-                // First sighting of this peer's epoch. Dedup-cache and
-                // deferred entries normally imply a prior sighting, but an
-                // entry can outlive the tracking map's knowledge (first
-                // contact after a restart); any entry stamped with a
-                // different caller epoch belongs to a dead incarnation and
-                // must not answer — or block — the fresh one's calls.
+                // First sighting of this peer's epoch. A call window
+                // normally implies a prior sighting, but one can outlive
+                // the tracking map's knowledge (first contact after a
+                // restart); a window of a different caller epoch belongs
+                // to a dead incarnation and must not answer — or block —
+                // the fresh one's calls.
                 self.purge_stale_epoch_entries(peer, epoch);
                 false
             }
@@ -430,31 +492,20 @@ impl EndpointState {
 
     /// Forgets everything tied to a dead incarnation of `peer`: name-ack
     /// state (strings must ship again), the primed connection, learned id
-    /// translations, cached responses (the fresh incarnation reuses call
-    /// ids from zero) and deferred-call bookkeeping.
+    /// translations and its call windows (the fresh incarnation reuses
+    /// call ids from zero).
     fn purge_peer(&mut self, peer: NodeId) {
         self.primed.remove(&peer);
         self.shipped.remove(&peer);
         self.learned.retain(|(node, _), _| *node != peer);
-        self.response_cache.retain(|(node, _), _| *node != peer);
-        self.cache_order.retain(|(node, _)| *node != peer);
-        self.deferred.retain(|(node, _), _| *node != peer);
+        self.windows.retain(|(node, _), _| *node != peer);
     }
 
-    /// Drops dedup-cache and deferred entries for `peer` whose recorded
-    /// caller epoch differs from `epoch`. The dropped keys' `cache_order`
-    /// slots go too: the fresh incarnation reuses call ids from zero, and
-    /// re-caching a key whose stale order slot survived would duplicate
-    /// it — making a later eviction pop the stale slot and drop a *live*
-    /// cached response (the PR 3 eviction-corruption regression).
+    /// Drops `peer`'s call windows whose caller epoch differs from
+    /// `epoch`.
     fn purge_stale_epoch_entries(&mut self, peer: NodeId, epoch: u64) {
-        self.response_cache
-            .retain(|(node, _), (_, _, e)| *node != peer || *e == epoch);
-        self.deferred
-            .retain(|(node, _), e| *node != peer || *e == epoch);
-        let cache = &self.response_cache;
-        self.cache_order
-            .retain(|key| key.0 != peer || cache.contains_key(key));
+        self.windows
+            .retain(|&(node, e), _| node != peer || e == epoch);
     }
 
     /// Translates a wire id from `from` to a local id, learning the
@@ -635,9 +686,11 @@ impl<'a, 'c> Env<'a, 'c> {
             Some((o, m)) => (Some(&**o), Some(&**m)),
             None => (None, None),
         };
+        let lag = self.state.lag(call_id);
         let frame = encode_call_req(
             &mut self.state.scratch,
             call_id,
+            lag,
             self.ctx.self_epoch(),
             object,
             if ship_object { object_str } else { None },
@@ -661,22 +714,21 @@ impl<'a, 'c> Env<'a, 'c> {
         };
         self.ctx.send_after(delay, to, label, frame.clone());
         let deadline = self.ctx.now() + delay + timeout;
-        self.state.pending.insert(
+        // Call ids only grow, so the queue stays sorted.
+        self.state.pending.push_back(PendingCall {
             call_id,
-            PendingCall {
-                to,
-                token,
-                frame,
-                object,
-                method,
-                named,
-                reshipped: false,
-                attempts: 1,
-                max_retries,
-                timeout,
-                deadline,
-            },
-        );
+            to,
+            token,
+            frame,
+            object,
+            method,
+            named,
+            reshipped: false,
+            attempts: 1,
+            max_retries,
+            timeout,
+            deadline,
+        });
         self.state.push_deadline(deadline, call_id);
         self.state.arm(self.ctx);
     }
@@ -704,27 +756,19 @@ impl<'a, 'c> Env<'a, 'c> {
     ///
     /// Same as [`Env::reply`].
     pub fn reply_with(&mut self, handle: ReplyHandle, result: Result<&[u8], &Fault>) -> bool {
-        let key = (handle.caller, handle.call_id);
-        match self.state.deferred.get(&key) {
-            // The entry belongs to this handle's incarnation: answer it.
-            Some(&epoch) if epoch == handle.caller_epoch => {
-                self.state.deferred.remove(&key);
+        let Some(window) = self
+            .state
+            .windows
+            .get_mut(&(handle.caller, handle.caller_epoch))
+        else {
+            // The caller restarted while its call was deferred: the window
+            // was purged with the dead incarnation (our learned view of the
+            // peer's epoch has moved past the handle's). Drop the reply.
+            if self.state.peer_epochs.get(&handle.caller).copied() != Some(handle.caller_epoch) {
+                return false;
             }
-            // A *fresh* incarnation's call reused the id while this
-            // handle's caller is dead: the entry is not ours to answer.
-            Some(_) => return false,
-            None => {
-                // The caller restarted while its call was deferred: the
-                // entry was purged with the dead incarnation (our learned
-                // view of the peer's epoch has moved past the handle's).
-                // Drop the reply.
-                if self.state.peer_epochs.get(&handle.caller).copied() != Some(handle.caller_epoch)
-                {
-                    return false;
-                }
-                panic!("reply to unknown or already-answered call {key:?}");
-            }
-        }
+            panic!("reply to unknown or already-answered call {handle:?}");
+        };
         let label = match &result {
             Ok(_) => "rsp:ok",
             Err(_) => "rsp:fault",
@@ -739,8 +783,7 @@ impl<'a, 'c> Env<'a, 'c> {
             handle.caller_epoch,
             result,
         );
-        self.state
-            .cache_response(key, frame.clone(), label, handle.caller_epoch);
+        window.answer(handle.call_id, &frame, label);
         let delay = self.surcharge;
         self.ctx.send_after(delay, handle.caller, label, frame);
         true
@@ -830,33 +873,43 @@ impl<A: App> Endpoint<A> {
         &self.app
     }
 
+    /// How many calls the call windows hold, answered or deferred (for
+    /// inspection in tests).
+    pub fn window_slots(&self) -> usize {
+        self.state.windows.values().map(|w| w.slots.len()).sum()
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn handle_call_req(
         &mut self,
         ctx: &mut Context<'_>,
         from: NodeId,
         call_id: u64,
+        lag: u8,
         caller_epoch: u64,
         object: NameId,
         method: NameId,
         args: Bytes,
     ) {
-        let key = (from, call_id);
         let handle = ReplyHandle {
             caller: from,
             call_id,
             caller_epoch,
         };
-        // At-most-once: duplicate of an answered call re-sends the cached
-        // response frame without re-executing or re-encoding.
-        if let Some((frame, label, _)) = self.state.response_cache.get(&key) {
-            let (frame, label) = (frame.clone(), *label);
-            ctx.send(from, label, frame);
+        let window = self.state.window(from, caller_epoch);
+        window.raise_floor(call_id, lag);
+        // Below the floor the caller has the answer or gave up: drop.
+        if call_id < window.floor {
             return;
         }
-        // Duplicate of a call still being processed (deferred): drop it;
-        // the eventual reply satisfies the client's retransmission.
-        if self.state.deferred.contains_key(&key) {
+        if let Ok(at) = window.find(call_id) {
+            // At-most-once: a duplicate of an answered call gets the held
+            // frame again, without re-executing or re-encoding; one of a
+            // call still deferred is dropped, and the eventual reply
+            // satisfies the client's retransmission.
+            if let Slot::Answered(frame, label) = &window.slots[at].1 {
+                ctx.send(from, *label, frame.clone());
+            }
             return;
         }
         if ctx.trace_enabled() {
@@ -879,11 +932,10 @@ impl<A: App> Endpoint<A> {
         let req_bytes = (args.len() + object_str.len() + method_str.len()) as u64;
         let dispatch_cost = self.state.cfg.cost.dispatch(req_bytes);
         // Local registry first (plain RMI skeletons)...
-        if let Some(mut obj) = self.state.objects.remove(&object) {
+        if let Some(obj) = self.state.objects.get_mut(&object) {
             let mut oenv = ObjectEnv::new(ctx.node(), ctx.now(), ctx.rng());
             let result = obj.invoke(&method_str, &args, &mut oenv);
             let service = oenv.consumed();
-            self.state.objects.insert(object, obj);
             let label = match &result {
                 Ok(_) => "rsp:ok",
                 Err(_) => "rsp:fault",
@@ -896,12 +948,15 @@ impl<A: App> Endpoint<A> {
                 result.as_ref().map(|v| v.as_slice()),
             );
             self.state
-                .cache_response(key, frame.clone(), label, caller_epoch);
+                .window(from, caller_epoch)
+                .insert(call_id, Slot::Answered(frame.clone(), label));
             ctx.send_after(dispatch_cost + service, from, label, frame);
             return;
         }
         // ...then the app layer (e.g. MAGE system services).
-        self.state.deferred.insert(key, caller_epoch);
+        self.state
+            .window(from, caller_epoch)
+            .insert(call_id, Slot::Deferred);
         let call = InboundCall {
             object,
             method,
@@ -953,7 +1008,11 @@ impl<A: App> Endpoint<A> {
                 return;
             }
         }
-        let Some(pending) = self.state.pending.remove(&call_id) else {
+        let Some(pending) = self
+            .state
+            .pending_at(call_id)
+            .and_then(|at| self.state.pending.remove(at))
+        else {
             return; // late duplicate after a retransmitted call already completed
         };
         self.state.remove_deadline(ctx, pending.deadline, call_id);
@@ -979,9 +1038,10 @@ impl<A: App> Endpoint<A> {
     /// `false` when the call is unknown or already re-shipped once — the
     /// caller then surfaces the NACK instead of looping.
     fn reship_with_names(&mut self, ctx: &mut Context<'_>, call_id: u64) -> bool {
-        let Some(pending) = self.state.pending.get(&call_id) else {
+        let Some(at) = self.state.pending_at(call_id) else {
             return true; // late duplicate; nothing to surface either
         };
+        let pending = &self.state.pending[at];
         if pending.reshipped {
             return false;
         }
@@ -1000,9 +1060,11 @@ impl<A: App> Endpoint<A> {
             self.state.syms.resolve_lossy(object),
             self.state.syms.resolve_lossy(method),
         );
+        let lag = self.state.lag(call_id);
         let frame = encode_call_req(
             &mut self.state.scratch,
             call_id,
+            lag,
             ctx.self_epoch(),
             object,
             Some(&object_str),
@@ -1020,7 +1082,7 @@ impl<A: App> Endpoint<A> {
         // call, which now retransmits the updated frame. Restarting the
         // deadline would let every NACK postpone the retry schedule.
         ctx.send(to, label, frame.clone());
-        let pending = self.state.pending.get_mut(&call_id).expect("checked above");
+        let pending = &mut self.state.pending[at];
         pending.frame = frame;
         pending.named = true;
         pending.reshipped = true;
@@ -1046,11 +1108,11 @@ impl<A: App> Endpoint<A> {
                 break;
             }
             self.state.deadlines.pop_front();
-            let pending = self
+            let at = self
                 .state
-                .pending
-                .get_mut(&call_id)
+                .pending_at(call_id)
                 .expect("every queued deadline belongs to a pending call");
+            let pending = &mut self.state.pending[at];
             if pending.attempts <= pending.max_retries {
                 pending.attempts += 1;
                 pending.deadline = now + pending.timeout;
@@ -1070,7 +1132,7 @@ impl<A: App> Endpoint<A> {
                 // is unreachable from here (crashed, partitioned, or
                 // silent). Fail the call with a typed error instead of
                 // leaving the token pending forever.
-                let pending = self.state.pending.remove(&call_id).expect("checked above");
+                let pending = self.state.pending.remove(at).expect("checked above");
                 let mut env = Env::new(ctx, &mut self.state, SimDuration::ZERO);
                 self.app.on_reply(
                     &mut env,
@@ -1126,6 +1188,7 @@ impl<A: App> Actor for Endpoint<A> {
         match msg {
             WireMsg::CallReq {
                 call_id,
+                lag,
                 sender_epoch,
                 object,
                 method,
@@ -1161,7 +1224,7 @@ impl<A: App> Actor for Endpoint<A> {
                     ctx.send(from, "rsp:unknown-name", frame);
                     return;
                 };
-                self.handle_call_req(ctx, from, call_id, sender_epoch, object, method, args);
+                self.handle_call_req(ctx, from, call_id, lag, sender_epoch, object, method, args);
             }
             WireMsg::CallRsp {
                 call_id,
@@ -1195,72 +1258,77 @@ impl<A> std::fmt::Debug for Endpoint<A> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
+
+    use mage_sim::{TraceEvent, TraceMode, World};
+
     use super::*;
+    use crate::driver::{client_endpoint, drive_call};
 
-    fn state(cache_size: usize) -> EndpointState {
-        EndpointState::new(
-            Config {
-                response_cache_size: cache_size,
-                ..Config::default()
-            },
-            SymbolTable::shared(),
-        )
-    }
-
-    fn key(node: u32, call: u64) -> (NodeId, u64) {
-        (NodeId::from_raw(node), call)
+    fn state() -> EndpointState {
+        EndpointState::new(Config::default(), SymbolTable::shared())
     }
 
     fn frame(tag: u8) -> Bytes {
         Bytes::from(vec![tag])
     }
 
-    /// Regression: re-caching an existing `(peer, token)` key used to push
-    /// a duplicate entry into `cache_order`, so a later eviction popped the
-    /// stale order entry and could drop a *live* cached response while the
-    /// map stayed over budget.
-    #[test]
-    fn recaching_a_key_does_not_corrupt_eviction_order() {
-        let mut st = state(2);
-        st.cache_response(key(0, 1), frame(1), "rsp:ok", 0);
-        st.cache_response(key(0, 2), frame(2), "rsp:ok", 0);
-        // Re-cache the first key: the map entry updates in place and the
-        // order queue must not grow a duplicate.
-        st.cache_response(key(0, 1), frame(11), "rsp:ok", 0);
-        assert_eq!(st.response_cache.get(&key(0, 1)).unwrap().0, frame(11));
-        assert_eq!(st.cache_order.len(), 2);
-        // Keep inserting: the budget must hold and the newest entries
-        // must survive every eviction.
-        st.cache_response(key(0, 3), frame(3), "rsp:ok", 0);
-        st.cache_response(key(0, 4), frame(4), "rsp:ok", 0);
-        st.cache_response(key(0, 5), frame(5), "rsp:ok", 0);
-        assert_eq!(st.response_cache.len(), 2, "cache must stay within budget");
-        assert!(st.response_cache.contains_key(&key(0, 4)));
-        assert!(st.response_cache.contains_key(&key(0, 5)));
+    fn answered(tag: u8) -> Slot {
+        Slot::Answered(frame(tag), "rsp:ok")
     }
 
-    /// Out-of-band purges (peer restarts) may leave stale order entries
-    /// behind; eviction must skip them rather than under-evict.
-    #[test]
-    fn eviction_survives_out_of_band_purges() {
-        let mut st = state(2);
-        st.cache_response(key(1, 1), frame(1), "rsp:ok", 0);
-        st.cache_response(key(2, 1), frame(2), "rsp:ok", 0);
-        st.purge_peer(NodeId::from_raw(1));
-        assert_eq!(st.response_cache.len(), 1);
-        st.cache_response(key(2, 2), frame(3), "rsp:ok", 0);
-        st.cache_response(key(2, 3), frame(4), "rsp:ok", 0);
-        assert_eq!(st.response_cache.len(), 2);
-        assert!(st.response_cache.contains_key(&key(2, 2)));
-        assert!(st.response_cache.contains_key(&key(2, 3)));
+    fn ids(window: &CallWindow) -> Vec<u64> {
+        window.slots.iter().map(|&(id, _)| id).collect()
+    }
+
+    /// A counter object that counts its executions in `hits`.
+    fn counter(hits: &Rc<Cell<u64>>) -> Box<dyn RemoteObject> {
+        let hits = Rc::clone(hits);
+        Box::new(move |_m: &str, _a: &[u8], _e: &mut ObjectEnv<'_>| {
+            hits.set(hits.get() + 1);
+            Ok(vec![])
+        })
+    }
+
+    /// Runs an endpoint and records how many slots its call windows hold
+    /// after each event: now, and at most so far.
+    struct Watched<A> {
+        endpoint: Endpoint<A>,
+        held: Rc<Cell<(usize, usize)>>,
+    }
+
+    impl<A: App> Watched<A> {
+        fn record(&self) {
+            let now = self.endpoint.window_slots();
+            let (_, most) = self.held.get();
+            self.held.set((now, most.max(now)));
+        }
+    }
+
+    impl<A: App> Actor for Watched<A> {
+        fn on_start(&mut self, ctx: &mut Context<'_>) {
+            self.endpoint.on_start(ctx);
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            self.endpoint.on_message(ctx, from, payload);
+            self.record();
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+            self.endpoint.on_timer(ctx, tag);
+            self.record();
+        }
     }
 
     /// A peer-epoch change must invalidate every per-peer table: symbol
-    /// acks (strings ship again), priming, learned translations, cached
-    /// responses and deferred bookkeeping — and only for that peer.
+    /// acks (strings ship again), priming, learned translations and the
+    /// call window, answered and deferred slots alike — and only for that
+    /// peer.
     #[test]
     fn epoch_change_purges_all_per_peer_state() {
-        let mut st = state(8);
+        let mut st = state();
         let peer = NodeId::from_raw(1);
         let other = NodeId::from_raw(2);
         let name = st.syms.intern("geoData");
@@ -1270,8 +1338,8 @@ mod tests {
             assert!(!st.needs_name(node, name), "acked ids travel alone");
             st.primed.insert(node);
             st.learned.insert((node, 7), name);
-            st.cache_response((node, 1), frame(9), "rsp:ok", 0);
-            st.deferred.insert((node, 2), 0);
+            st.window(node, 0).insert(1, answered(9));
+            st.window(node, 0).insert(2, Slot::Deferred);
         }
         assert!(!st.note_peer_epoch(peer, 0), "first sighting records only");
         assert!(st.note_peer_epoch(peer, 1), "epoch bump detected");
@@ -1281,66 +1349,278 @@ mod tests {
         );
         assert!(!st.primed.contains(&peer));
         assert!(!st.learned.contains_key(&(peer, 7)));
-        assert!(!st.response_cache.contains_key(&(peer, 1)));
-        assert!(!st.deferred.contains_key(&(peer, 2)));
+        assert!(!st.windows.contains_key(&(peer, 0)));
         // The other peer's state is untouched.
         assert!(!st.needs_name(other, name));
         assert!(st.primed.contains(&other));
         assert!(st.learned.contains_key(&(other, 7)));
-        assert!(st.response_cache.contains_key(&(other, 1)));
-        assert!(st.deferred.contains_key(&(other, 2)));
+        assert_eq!(ids(&st.windows[&(other, 0)]), [1, 2]);
     }
 
-    /// The first-contact-after-restart edge: dedup-cache and deferred
-    /// entries can exist for a peer that was never recorded in
-    /// `peer_epochs`. The first sighting of that peer's epoch must still
-    /// drop every entry stamped with a *different* caller epoch — they
-    /// belong to a dead incarnation and must neither answer nor block the
-    /// fresh incarnation's calls.
+    /// The first-contact-after-restart edge: call windows can exist for a
+    /// peer that was never recorded in `peer_epochs`. The first sighting
+    /// of that peer's epoch must still drop every window of a *different*
+    /// caller epoch — it belongs to a dead incarnation and must neither
+    /// answer nor block the fresh incarnation's calls.
     #[test]
     fn first_sighting_purges_entries_with_stale_caller_epochs() {
-        let mut st = state(8);
+        let mut st = state();
         let peer = NodeId::from_raw(3);
-        // Entries from epoch 0 and epoch 2, installed without the peer
-        // ever being noted in `peer_epochs`.
-        st.cache_response((peer, 1), frame(1), "rsp:ok", 0);
-        st.cache_response((peer, 2), frame(2), "rsp:ok", 2);
-        st.deferred.insert((peer, 3), 0);
-        st.deferred.insert((peer, 4), 2);
+        // Slots from epoch 0 and epoch 2, installed without the peer ever
+        // being noted in `peer_epochs`.
+        st.window(peer, 0).insert(1, answered(1));
+        st.window(peer, 2).insert(2, answered(2));
+        st.window(peer, 0).insert(3, Slot::Deferred);
+        st.window(peer, 2).insert(4, Slot::Deferred);
         assert!(!st.peer_epochs.contains_key(&peer), "precondition");
-        // First sighting at epoch 2: stale-epoch entries go, current stay.
+        // First sighting at epoch 2: the stale window goes, current stays.
         assert!(
             !st.note_peer_epoch(peer, 2),
             "first sighting is not a restart"
         );
-        assert!(!st.response_cache.contains_key(&(peer, 1)));
-        assert!(st.response_cache.contains_key(&(peer, 2)));
-        assert!(!st.deferred.contains_key(&(peer, 3)));
-        assert!(st.deferred.contains_key(&(peer, 4)));
+        assert!(!st.windows.contains_key(&(peer, 0)));
+        assert_eq!(ids(&st.windows[&(peer, 2)]), [2, 4]);
     }
 
-    /// The epoch-purge must also drop the purged keys' `cache_order`
-    /// slots: the fresh incarnation reuses call ids, and a surviving
-    /// stale slot would duplicate on re-cache — making a later eviction
-    /// pop the stale slot and drop a *live* response while the map stays
-    /// over budget (the PR 3 eviction-corruption regression class).
     #[test]
-    fn epoch_purge_cleans_cache_order_so_reused_ids_do_not_corrupt_eviction() {
-        let mut st = state(2);
-        let peer = NodeId::from_raw(1);
-        st.cache_response((peer, 0), frame(1), "rsp:ok", 0);
-        // First sighting at epoch 1 purges the epoch-0 entry…
-        assert!(!st.note_peer_epoch(peer, 1));
-        assert!(st.response_cache.is_empty());
-        // …including its order slot, so re-caching the reused id does not
-        // duplicate it.
-        st.cache_response((peer, 0), frame(2), "rsp:ok", 1);
-        assert_eq!(st.cache_order.len(), 1);
-        // Evictions stay coherent: the newest entries always survive.
-        st.cache_response((peer, 1), frame(3), "rsp:ok", 1);
-        st.cache_response((peer, 2), frame(4), "rsp:ok", 1);
-        assert_eq!(st.response_cache.len(), 2);
-        assert!(st.response_cache.contains_key(&(peer, 1)));
-        assert!(st.response_cache.contains_key(&(peer, 2)));
+    fn raising_the_floor_frees_answered_slots_and_keeps_deferred_ones() {
+        let mut w = CallWindow::default();
+        w.insert(0, answered(0));
+        w.insert(1, Slot::Deferred);
+        w.insert(2, answered(2));
+        w.insert(3, answered(3));
+        // A request for call 4 whose caller still waits on call 3.
+        w.raise_floor(4, 2);
+        assert_eq!(w.floor, 3);
+        assert_eq!(ids(&w), [1, 3]);
+        // A retransmission's older report lowers nothing.
+        w.raise_floor(2, 1);
+        assert_eq!(w.floor, 3);
+        assert_eq!(ids(&w), [1, 3]);
+    }
+
+    #[test]
+    fn a_deferred_call_answered_below_the_floor_is_not_stored() {
+        let mut w = CallWindow::default();
+        w.insert(0, Slot::Deferred);
+        w.insert(1, Slot::Deferred);
+        // The caller gave up on calls 0 and 1.
+        w.raise_floor(2, 1);
+        w.answer(0, &frame(0), "rsp:ok");
+        assert_eq!(ids(&w), [1]);
+        // At or above the floor the answer is held for retransmissions.
+        w.insert(2, Slot::Deferred);
+        w.answer(2, &frame(2), "rsp:ok");
+        assert!(matches!(w.slots.back(), Some((2, Slot::Answered(f, _))) if *f == frame(2)));
+    }
+
+    #[test]
+    fn lag_0_leaves_the_floor_where_it_was() {
+        let mut w = CallWindow::default();
+        w.insert(0, answered(0));
+        w.raise_floor(300, 0);
+        assert_eq!(w.floor, 0);
+        assert_eq!(ids(&w), [0]);
+        w.raise_floor(300, 1);
+        assert_eq!(w.floor, 300);
+        assert!(w.slots.is_empty());
+        // A caller with nothing in flight reports its new call as the floor.
+        assert_eq!(state().lag(7), 1);
+    }
+
+    /// Sends each driver payload on to `to` as a frame, and keeps the
+    /// frames it receives.
+    struct Raw {
+        to: NodeId,
+        got: Rc<RefCell<Vec<WireMsg>>>,
+    }
+
+    impl Actor for Raw {
+        fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+            if from.is_driver() {
+                ctx.send(self.to, "call", payload);
+            } else {
+                let msg = WireMsg::decode(&payload).expect("endpoints send v2 frames");
+                self.got.borrow_mut().push(msg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_request_below_the_floor_does_not_execute() {
+        let hits = Rc::new(Cell::new(0));
+        let mut world = World::new(1);
+        let mut server = Endpoint::new(ServerOnly, Config::zero_cost());
+        server.bind("counter", counter(&hits));
+        let server = world.add_node("server", server);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let raw = world.add_node(
+            "raw",
+            Raw {
+                to: server,
+                got: Rc::clone(&got),
+            },
+        );
+        let mut send = |call_id: u64, lag: u8| {
+            let (object, method) = (NameId::from_raw(0), NameId::from_raw(1));
+            let frame = encode_call_req(
+                &mut Vec::new(),
+                call_id,
+                lag,
+                0,
+                object,
+                Some("counter"),
+                method,
+                Some("inc"),
+                &[],
+            );
+            world.inject(raw, "frame", frame);
+            world.run_until_idle().unwrap();
+            (hits.get(), got.borrow().len())
+        };
+        // Call 5 reports itself as the oldest unanswered: floor 5.
+        assert_eq!(send(5, 1), (1, 1));
+        // Calls 3 and 4 are below it: dropped unexecuted and unanswered,
+        // whatever they report (lag 0 reports nothing).
+        assert_eq!(send(3, 1), (1, 1));
+        assert_eq!(send(4, 0), (1, 1));
+        // A duplicate of call 5 gets its held answer again.
+        assert_eq!(send(5, 1), (1, 2));
+    }
+
+    /// An app that parks the first call it is offered for 100 ms and
+    /// answers every later one at once.
+    #[derive(Default)]
+    struct ParkFirst {
+        parked: Option<ReplyHandle>,
+        seen: bool,
+    }
+
+    impl App for ParkFirst {
+        fn on_call(
+            &mut self,
+            env: &mut Env<'_, '_>,
+            _from: NodeId,
+            call: InboundCall,
+        ) -> CallOutcome {
+            if std::mem::replace(&mut self.seen, true) {
+                return CallOutcome::Reply(Ok(vec![1]));
+            }
+            self.parked = Some(call.handle());
+            env.set_timer(SimDuration::from_millis(100), 1);
+            CallOutcome::Deferred
+        }
+
+        fn on_timer(&mut self, env: &mut Env<'_, '_>, _tag: u64) {
+            let handle = self.parked.take().expect("one call parked");
+            assert!(env.reply(handle, Ok(vec![0])), "the caller is alive");
+        }
+    }
+
+    /// A deferred call whose caller gave up on it is still answered on the
+    /// wire when the app replies, but its frame is not held.
+    #[test]
+    fn a_late_answer_below_the_floor_is_sent_and_not_held() {
+        let mut world = World::new(1);
+        world.set_trace_mode(TraceMode::Full);
+        let held = Rc::new(Cell::new((0, 0)));
+        let server = world.add_node(
+            "server",
+            Watched {
+                endpoint: Endpoint::new(ParkFirst::default(), Config::zero_cost()),
+                held: Rc::clone(&held),
+            },
+        );
+        let impatient = Config {
+            call_timeout: SimDuration::from_millis(10),
+            max_retries: 0,
+            ..Config::zero_cost()
+        };
+        let client = world.add_node("client", client_endpoint(impatient));
+        let first = drive_call(&mut world, client, server, "svc", "work", vec![]).unwrap();
+        assert!(first.unwrap_err().contains("unreachable"));
+        // The next call raises the floor past the parked one.
+        drive_call(&mut world, client, server, "svc", "work", vec![])
+            .unwrap()
+            .unwrap();
+        assert_eq!(held.get().0, 2, "the parked call and the answered one");
+        world.run_until_idle().unwrap();
+        let answers = world
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Send { from, label, .. } if *from == server && label == "rsp:ok"))
+            .count();
+        assert_eq!(answers, 2, "the late answer goes on the wire");
+        assert_eq!(held.get().0, 1, "only the answer at the floor is held");
+    }
+
+    /// Keeps `depth` calls in flight until `total` were made.
+    struct Pipeline {
+        server: NodeId,
+        depth: u64,
+        total: u64,
+        made: u64,
+        answered: Rc<Cell<u64>>,
+    }
+
+    impl Pipeline {
+        fn issue(&mut self, env: &mut Env<'_, '_>) {
+            if self.made < self.total {
+                self.made += 1;
+                env.call(self.server, "counter", "inc", [], 0);
+            }
+        }
+    }
+
+    impl App for Pipeline {
+        fn on_start(&mut self, env: &mut Env<'_, '_>) {
+            for _ in 0..self.depth {
+                self.issue(env);
+            }
+        }
+
+        fn on_reply(
+            &mut self,
+            env: &mut Env<'_, '_>,
+            _token: u64,
+            result: Result<Bytes, RmiError>,
+        ) {
+            result.expect("no loss, no failure");
+            self.answered.set(self.answered.get() + 1);
+            self.issue(env);
+        }
+    }
+
+    #[test]
+    fn a_depth_8_pipelining_callers_window_holds_at_most_8_slots() {
+        let (hits, answered) = (Rc::new(Cell::new(0)), Rc::new(Cell::new(0)));
+        let held = Rc::new(Cell::new((0, 0)));
+        let mut world = World::new(1);
+        let mut endpoint = Endpoint::new(ServerOnly, Config::zero_cost());
+        endpoint.bind("counter", counter(&hits));
+        let server = world.add_node(
+            "server",
+            Watched {
+                endpoint,
+                held: Rc::clone(&held),
+            },
+        );
+        world.add_node(
+            "client",
+            Endpoint::new(
+                Pipeline {
+                    server,
+                    depth: 8,
+                    total: 10_000,
+                    made: 0,
+                    answered: Rc::clone(&answered),
+                },
+                Config::zero_cost(),
+            ),
+        );
+        world.run_until_idle().unwrap();
+        assert_eq!((hits.get(), answered.get()), (10_000, 10_000));
+        assert_eq!(held.get().1, 8, "the window follows the calls in flight");
     }
 }

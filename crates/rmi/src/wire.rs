@@ -16,6 +16,13 @@
 //! peer restarts from these fields alone — no out-of-band failure oracle.
 //! A frame whose leading byte is not [`MAGIC_V2_EPOCH`] is rejected with a
 //! decode error.
+//!
+//! A request is `magic, kind, call_id, lag, sender_epoch, names-flags`,
+//! the object id (then its string if flag bit 0 is set), the method id
+//! (then its string if bit 1 is set) and the args. Ids, `call_id` and the
+//! epoch are varints; strings and args are length-prefixed. `lag` states
+//! the caller's oldest unanswered call, `call_id + 1 - lag` (its call
+//! window's floor), or nothing when 0.
 
 use bytes::Bytes;
 use mage_codec::frame::{write_bytes, write_str, write_u64};
@@ -26,10 +33,14 @@ use crate::symbols::NameId;
 
 /// First byte of every frame. A frame with any other leading byte fails
 /// to decode.
-pub const MAGIC_V2_EPOCH: u8 = 0xA3;
+pub const MAGIC_V2_EPOCH: u8 = 0xA4;
 
 const KIND_CALL_REQ: u8 = 0;
 const KIND_CALL_RSP: u8 = 1;
+
+/// Names-flags bits: which of a request's two names carry their string.
+const OBJECT_NAMED: u8 = 1;
+const METHOD_NAMED: u8 = 2;
 
 /// An interned name on the wire: the id always, the string only the first
 /// time this id travels to a given peer.
@@ -56,14 +67,13 @@ impl NameRef {
         }
     }
 
-    fn decode(r: &mut FrameReader<'_>) -> Result<Self, DecodeError> {
+    fn decode(r: &mut FrameReader<'_>, named: bool) -> Result<Self, DecodeError> {
         let id = NameId::from_raw(r.read_u32()?);
-        let name = match r.read_u8()? {
-            0 => None,
-            1 => Some(r.read_str()?.to_owned()),
-            other => return Err(DecodeError::InvalidOptionTag(other)),
-        };
-        Ok(NameRef { id, name })
+        let name = named.then(|| r.read_str()).transpose()?;
+        Ok(NameRef {
+            id,
+            name: name.map(str::to_owned),
+        })
     }
 }
 
@@ -74,6 +84,9 @@ pub enum WireMsg {
     CallReq {
         /// Client-unique call id (also the dedup key on the server).
         call_id: u64,
+        /// The caller's oldest unanswered call id, as a distance back:
+        /// that id is `call_id + 1 - lag`. 0 means no news.
+        lag: u8,
         /// Sender incarnation at send time. Receivers learn peer restarts
         /// from this field alone.
         sender_epoch: u64,
@@ -106,6 +119,7 @@ pub enum WireMsg {
 pub fn encode_call_req(
     scratch: &mut Vec<u8>,
     call_id: u64,
+    lag: u8,
     sender_epoch: u64,
     object: NameId,
     object_name: Option<&str>,
@@ -117,7 +131,10 @@ pub fn encode_call_req(
     scratch.push(MAGIC_V2_EPOCH);
     scratch.push(KIND_CALL_REQ);
     write_u64(scratch, call_id);
+    scratch.push(lag);
     write_u64(scratch, sender_epoch);
+    let flag = |name: Option<&str>, bit| if name.is_some() { bit } else { 0 };
+    scratch.push(flag(object_name, OBJECT_NAMED) | flag(method_name, METHOD_NAMED));
     encode_name(scratch, object, object_name);
     encode_name(scratch, method, method_name);
     write_bytes(scratch, args);
@@ -155,12 +172,8 @@ pub fn encode_call_rsp(
 
 fn encode_name(out: &mut Vec<u8>, id: NameId, name: Option<&str>) {
     write_u64(out, u64::from(id.as_raw()));
-    match name {
-        Some(name) => {
-            out.push(1);
-            write_str(out, name);
-        }
-        None => out.push(0),
+    if let Some(name) = name {
+        write_str(out, name);
     }
 }
 
@@ -172,6 +185,7 @@ impl WireMsg {
         match self {
             WireMsg::CallReq {
                 call_id,
+                lag,
                 sender_epoch,
                 object,
                 method,
@@ -179,6 +193,7 @@ impl WireMsg {
             } => encode_call_req(
                 scratch,
                 *call_id,
+                *lag,
                 *sender_epoch,
                 object.id,
                 object.name.as_deref(),
@@ -221,13 +236,23 @@ impl WireMsg {
             )));
         }
         let msg = match r.read_u8()? {
-            KIND_CALL_REQ => WireMsg::CallReq {
-                call_id: r.read_u64()?,
-                sender_epoch: r.read_u64()?,
-                object: NameRef::decode(&mut r)?,
-                method: NameRef::decode(&mut r)?,
-                args: r.read_bytes()?,
-            },
+            KIND_CALL_REQ => {
+                let call_id = r.read_u64()?;
+                let lag = r.read_u8()?;
+                let sender_epoch = r.read_u64()?;
+                let flags = r.read_u8()?;
+                if flags > OBJECT_NAMED | METHOD_NAMED {
+                    return Err(DecodeError::InvalidOptionTag(flags));
+                }
+                WireMsg::CallReq {
+                    call_id,
+                    lag,
+                    sender_epoch,
+                    object: NameRef::decode(&mut r, flags & OBJECT_NAMED != 0)?,
+                    method: NameRef::decode(&mut r, flags & METHOD_NAMED != 0)?,
+                    args: r.read_bytes()?,
+                }
+            }
             KIND_CALL_RSP => {
                 let call_id = r.read_u64()?;
                 let sender_epoch = r.read_u64()?;
@@ -302,6 +327,7 @@ mod tests {
     fn v2_call_req_roundtrips_with_first_use_names() {
         let msg = WireMsg::CallReq {
             call_id: 42,
+            lag: 3,
             sender_epoch: 7,
             object: NameRef::first_use(NameId::from_raw(3), "geoData"),
             method: NameRef::id(NameId::from_raw(9)),
@@ -316,6 +342,7 @@ mod tests {
     fn v2_args_decode_zero_copy() {
         let msg = WireMsg::CallReq {
             call_id: 1,
+            lag: 1,
             sender_epoch: 0,
             object: NameRef::id(NameId::from_raw(0)),
             method: NameRef::id(NameId::from_raw(1)),
@@ -358,6 +385,7 @@ mod tests {
     fn v2_truncated_frames_error_not_panic() {
         let frame = WireMsg::CallReq {
             call_id: 3,
+            lag: 0,
             sender_epoch: u64::MAX,
             object: NameRef::first_use(NameId::from_raw(0), "obj"),
             method: NameRef::id(NameId::from_raw(1)),
@@ -369,6 +397,82 @@ mod tests {
             assert!(
                 WireMsg::decode(&truncated).is_err(),
                 "truncation at {cut} must error"
+            );
+        }
+    }
+
+    /// The request layout, byte for byte. Folding the two per-name option
+    /// tags into one names-flags byte pays for `lag`, so each frame is as
+    /// long as the same fields' encoding under the previous magic, `0xA3`,
+    /// which had no `lag` and a tag byte after each name id.
+    #[test]
+    fn call_req_layout_is_pinned() {
+        let steady = WireMsg::CallReq {
+            call_id: 300,
+            lag: 3,
+            sender_epoch: 1,
+            object: NameRef::id(NameId::from_raw(5)),
+            method: NameRef::id(NameId::from_raw(9)),
+            args: Bytes::from(vec![7, 7]),
+        }
+        .encode();
+        #[rustfmt::skip]
+        let expected = [
+            0xA4, 0, 0xAC, 0x02, // magic, kind, call_id 300
+            3, 1, 0,             // lag, sender_epoch, names-flags
+            5, 9,                // object id, method id
+            2, 7, 7,             // args
+        ];
+        assert_eq!(steady.as_slice(), expected);
+        #[rustfmt::skip]
+        let before = [0xA3, 0, 0xAC, 0x02, 1, 5, 0, 9, 0, 2, 7, 7];
+        assert_eq!(steady.len(), before.len());
+
+        let first_use = WireMsg::CallReq {
+            call_id: 0,
+            lag: 1,
+            sender_epoch: 0,
+            object: NameRef::first_use(NameId::from_raw(3), "geo"),
+            method: NameRef::first_use(NameId::from_raw(9), "run"),
+            args: Bytes::new(),
+        }
+        .encode();
+        #[rustfmt::skip]
+        let expected = [
+            0xA4, 0, 0,                 // magic, kind, call_id 0
+            1, 0, 3,                    // lag, sender_epoch, both names attached
+            3, 3, b'g', b'e', b'o',     // object id and its string
+            9, 3, b'r', b'u', b'n',     // method id and its string
+            0,                          // no args
+        ];
+        assert_eq!(first_use.as_slice(), expected);
+        #[rustfmt::skip]
+        let before = [
+            0xA3, 0, 0, 0,
+            3, 1, 3, b'g', b'e', b'o',
+            9, 1, 3, b'r', b'u', b'n',
+            0,
+        ];
+        assert_eq!(first_use.len(), before.len());
+    }
+
+    #[test]
+    fn names_flags_above_3_are_rejected() {
+        let mut frame = WireMsg::CallReq {
+            call_id: 0,
+            lag: 1,
+            sender_epoch: 0,
+            object: NameRef::id(NameId::from_raw(0)),
+            method: NameRef::id(NameId::from_raw(1)),
+            args: Bytes::new(),
+        }
+        .encode()
+        .to_vec();
+        for flags in 4..=u8::MAX {
+            frame[5] = flags;
+            assert_eq!(
+                WireMsg::decode(&Bytes::from(frame.clone())),
+                Err(DecodeError::InvalidOptionTag(flags))
             );
         }
     }

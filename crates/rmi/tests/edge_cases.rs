@@ -1,4 +1,4 @@
-//! Edge cases of the RMI endpoint: dedup-cache eviction, server-only
+//! Edge cases of the RMI endpoint: call-window bounds, server-only
 //! endpoints, the compute-charge API and malformed traffic.
 
 use std::cell::Cell;
@@ -8,7 +8,7 @@ use bytes::Bytes;
 use mage_rmi::{
     client_endpoint, drive_call, Config, Endpoint, Fault, ObjectEnv, RemoteObject, ServerOnly,
 };
-use mage_sim::{SimDuration, World};
+use mage_sim::{Actor, Context, NodeId, SimDuration, World};
 
 struct Counter {
     hits: Rc<Cell<u64>>,
@@ -85,16 +85,41 @@ fn service_time_delays_the_response() {
     assert_eq!(world.now() - start, SimDuration::from_millis(25));
 }
 
+/// Runs an endpoint and records the most calls its call windows held
+/// after any event.
+struct Watched {
+    endpoint: Endpoint<ServerOnly>,
+    most_held: Rc<Cell<usize>>,
+}
+
+impl Watched {
+    fn record(&self) {
+        let held = self.endpoint.window_slots();
+        self.most_held.set(self.most_held.get().max(held));
+    }
+}
+
+impl Actor for Watched {
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: Bytes) {
+        self.endpoint.on_message(ctx, from, payload);
+        self.record();
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        self.endpoint.on_timer(ctx, tag);
+        self.record();
+    }
+}
+
 #[test]
-fn response_cache_eviction_is_bounded() {
-    // With a cache of 4, hammer 50 distinct calls: the endpoint must not
-    // grow without bound and must keep answering correctly.
+fn call_window_is_bounded() {
+    // Hammer 50 distinct calls: the endpoint must not grow without bound
+    // and must keep answering correctly. One call in flight at a time, so
+    // each request's floor frees the answer before it.
     let hits = Rc::new(Cell::new(0));
+    let most_held = Rc::new(Cell::new(0));
     let mut world = World::new(5);
-    let cfg = Config {
-        response_cache_size: 4,
-        ..Config::zero_cost()
-    };
+    let cfg = Config::zero_cost();
     let client = world.add_node("c", client_endpoint(cfg));
     let mut server_ep: Endpoint<ServerOnly> = Endpoint::new(ServerOnly, cfg);
     server_ep.bind(
@@ -104,7 +129,13 @@ fn response_cache_eviction_is_bounded() {
             service_time: SimDuration::ZERO,
         }),
     );
-    let server = world.add_node("s", server_ep);
+    let server = world.add_node(
+        "s",
+        Watched {
+            endpoint: server_ep,
+            most_held: Rc::clone(&most_held),
+        },
+    );
     for i in 1..=50u64 {
         let out = drive_call(&mut world, client, server, "counter", "inc", vec![])
             .unwrap()
@@ -113,6 +144,11 @@ fn response_cache_eviction_is_bounded() {
         assert_eq!(n, i);
     }
     assert_eq!(hits.get(), 50);
+    assert_eq!(
+        most_held.get(),
+        1,
+        "the window holds only the latest answer"
+    );
 }
 
 #[test]

@@ -372,3 +372,61 @@ fn duplicate_driver_ops_do_not_confuse_endpoints() {
     assert_eq!(counts, [1, 2, 3, 4]);
     assert_eq!(hits.get(), 4);
 }
+
+/// At-most-once is exact, not bounded by a count of later answers: a call
+/// whose reply was lost and whose retransmission comes 10,000 answers to
+/// another caller later is answered from its caller's window, not run
+/// again.
+#[test]
+fn a_retransmission_after_10k_other_answers_does_not_execute_twice() {
+    let hits = Rc::new(Cell::new(0));
+    let mut world = World::new(1);
+    let cfg = Config::zero_cost();
+    let slow = Config {
+        call_timeout: SimDuration::from_secs(60),
+        ..cfg
+    };
+    let a = world.add_node("a", client_endpoint(slow));
+    let b = world.add_node("b", client_endpoint(cfg));
+    let server = world.add_node(
+        "server",
+        server_endpoint(
+            cfg,
+            "counter",
+            Box::new(Counter {
+                hits: Rc::clone(&hits),
+            }),
+        ),
+    );
+    let link = LinkSpec::ideal().with_latency(SimDuration::from_millis(1));
+    world.set_link_bidi(a, server, link);
+    world.set_link_bidi(b, server, link);
+    let op = world.begin_op();
+    let cmd = mage_rmi::DriverCmd {
+        op: op.as_raw(),
+        to: server.as_raw(),
+        object: "counter",
+        method: "inc",
+        args: &[],
+    };
+    world.inject(a, "drive-call", Bytes::from(cmd.encode()));
+    // The request is on the wire; the partition drops its reply.
+    world.run_until(SimTime::from_micros(500)).unwrap();
+    world.partition(a, server);
+    for _ in 0..10_000 {
+        drive_call(&mut world, b, server, "counter", "inc", vec![])
+            .unwrap()
+            .unwrap();
+    }
+    assert!(
+        world.now() < SimTime::from_micros(60_000_000),
+        "before a's retransmission"
+    );
+    world.heal(a, server);
+    let count: u64 = mage_rmi::decode_result(&world.block_on(op).unwrap()).unwrap();
+    assert_eq!(
+        count, 1,
+        "the retransmission is answered with the first reply"
+    );
+    assert_eq!(hits.get(), 10_001);
+}

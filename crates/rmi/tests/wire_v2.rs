@@ -1,7 +1,7 @@
 //! Property tests of the v2 wire format: round-trips over arbitrary
-//! messages (interned ids, first-use string shipment, epochs, payloads),
-//! clean rejection of truncated/hostile frames, and rejection of frames
-//! with a foreign leading byte.
+//! messages (interned ids, first-use string shipment, epochs, window
+//! lags, payloads), clean rejection of truncated/hostile frames and of
+//! bad names-flags, and rejection of frames with a foreign leading byte.
 
 use bytes::Bytes;
 use mage_rmi::wire::{NameRef, WireMsg, MAGIC_V2_EPOCH};
@@ -16,11 +16,13 @@ fn name_ref(id: u32, name: Option<String>) -> NameRef {
 }
 
 proptest! {
-    /// Any CallReq — with or without first-use strings, any sender epoch —
-    /// round-trips exactly, and the decoded args match byte-for-byte.
+    /// Any CallReq — with or without first-use strings, any window lag,
+    /// any sender epoch — round-trips exactly, and the decoded args match
+    /// byte-for-byte.
     #[test]
     fn prop_call_req_roundtrips(
         call_id in any::<u64>(),
+        lag in any::<u8>(),
         sender_epoch in any::<u64>(),
         object_id in any::<u32>(),
         object_name in any::<Option<String>>(),
@@ -30,6 +32,7 @@ proptest! {
     ) {
         let msg = WireMsg::CallReq {
             call_id,
+            lag,
             sender_epoch,
             object: name_ref(object_id, object_name),
             method: name_ref(method_id, method_name),
@@ -76,6 +79,7 @@ proptest! {
     ) {
         let frame = WireMsg::CallReq {
             call_id,
+            lag: 1,
             sender_epoch,
             object: name_ref(7, object_name),
             method: NameRef::id(NameId::from_raw(9)),
@@ -127,6 +131,7 @@ proptest! {
     ) {
         let mut frame = WireMsg::CallReq {
             call_id,
+            lag: 1,
             sender_epoch,
             object: NameRef::id(NameId::from_raw(1)),
             method: NameRef::id(NameId::from_raw(2)),
@@ -143,8 +148,9 @@ proptest! {
     /// A frame whose leading byte is not [`MAGIC_V2_EPOCH`] is rejected
     /// with an error, never a panic, even when the rest of it is a
     /// well-formed message. The retired formats' leading bytes — v1's
-    /// variant indices `0x00`/`0x01` and the epoch-less v2 header `0xA2` —
-    /// are checked on every case, next to an arbitrary foreign byte.
+    /// variant indices `0x00`/`0x01`, the epoch-less v2 header `0xA2` and
+    /// the lag-less `0xA3` — are checked on every case, next to an
+    /// arbitrary foreign byte.
     #[test]
     fn prop_foreign_leading_byte_is_rejected(
         lead in any::<u8>(),
@@ -155,6 +161,7 @@ proptest! {
     ) {
         let mut frame = WireMsg::CallReq {
             call_id,
+            lag: 1,
             sender_epoch,
             object: name_ref(0, object_name),
             method: NameRef::id(NameId::from_raw(1)),
@@ -162,7 +169,7 @@ proptest! {
         }
         .encode()
         .to_vec();
-        let foreign = [0x00, 0x01, 0xA2, lead].into_iter();
+        let foreign = [0x00, 0x01, 0xA2, 0xA3, lead].into_iter();
         for lead in foreign.filter(|b| *b != MAGIC_V2_EPOCH) {
             frame[0] = lead;
             prop_assert!(
@@ -172,6 +179,38 @@ proptest! {
             );
         }
     }
+
+    /// A names-flags byte above 3 names a string that is not there: the
+    /// frame decodes to an error, never a panic or a guess.
+    #[test]
+    fn prop_names_flags_above_3_are_rejected(
+        flags in 4u8..=u8::MAX,
+        call_id in any::<u64>(),
+        lag in any::<u8>(),
+        sender_epoch in any::<u64>(),
+        object_name in any::<Option<String>>(),
+    ) {
+        let mut frame = WireMsg::CallReq {
+            call_id,
+            lag,
+            sender_epoch,
+            object: name_ref(0, object_name),
+            method: NameRef::id(NameId::from_raw(1)),
+            args: Bytes::from_static(b"abc"),
+        }
+        .encode()
+        .to_vec();
+        // The names-flags byte follows magic, kind, call_id, lag and epoch.
+        let at = 2 + varint_len(call_id) + 1 + varint_len(sender_epoch);
+        prop_assert!(frame[at] <= 3);
+        frame[at] = flags;
+        prop_assert!(WireMsg::decode(&Bytes::from(frame)).is_err());
+    }
+}
+
+/// Bytes in the LEB128 encoding of `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - v.leading_zeros() as usize).max(1).div_ceil(7)
 }
 
 /// Post-restart re-shipment, now purely message-driven: the client has no

@@ -20,7 +20,6 @@ fn lossy_runtime(loss: f64, seed: u64) -> Runtime {
             cost: mage::rmi::CostModel::zero(),
             call_timeout: SimDuration::from_millis(40),
             max_retries: 30,
-            response_cache_size: 4096,
         })
         .nodes(["a", "b", "c"])
         .class(test_object_class())
